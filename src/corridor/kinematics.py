@@ -276,16 +276,10 @@ def integrate_profile(profile: AccelProfile, dt: float) -> ProfileSamples:
 
     idx = np.searchsorted(bounds, t, side="right") - 1
     idx = np.clip(idx, 0, max(len(profile.segments) - 1, 0))
-    p_out = np.empty_like(t)
-    v_out = np.empty_like(t)
-    for k in range(len(t)):
-        i = idx[k]
-        tau = t[k] - bounds[i]
-        p0, v0 = states[i]
-        a = profile.segments[i].accel if profile.segments else 0.0
-        p_out[k] = p0 + v0 * tau + 0.5 * a * tau**2
-        v_out[k] = v0 + a * tau
-    return ProfileSamples(t, p_out, v_out)
+    p0, v0 = (np.asarray(col)[idx] for col in zip(*states))
+    a = np.asarray([s.accel for s in profile.segments] or [0.0])[idx]
+    tau = t - np.asarray(bounds)[idx]
+    return ProfileSamples(t, p0 + v0 * tau + 0.5 * a * tau**2, v0 + a * tau)
 
 
 def headway_is_safe(

@@ -15,6 +15,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -33,11 +34,13 @@ from .scheduler import (
     to_model,
 )
 from .trajectory import (
+    ArcTable,
     NoExitFound,
     ZoneBVP,
     ZoneTrajectory,
     check_rear_end,
     follow_arc,
+    sample_times,
     solve_zone,
 )
 
@@ -163,6 +166,9 @@ class SimConfig:
                 raise ConfigError("poisson mode needs a positive rate and vehicle count")
         if not self.paths:
             raise ConfigError("at least one path required")
+        for name in ("rear_end_dt", "fuel_dt", "trace_dt", "hold_dt", "vmerge_step"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)!r}")
         # the headway must clear the rear-end rule for every configured
         # boundary speed pairing (slowest leader against fastest follower)
         speeds = [self.v_merge, lo, hi]
@@ -238,7 +244,10 @@ def generate_arrivals(config: SimConfig, net: ZoneNetwork | None = None) -> list
         rate = config.volume_veh_h / 3600.0
         horizon = config.arrival_horizon()
         for origin, movement in config.paths:
-            net.path_for(origin, movement)  # fail fast on unknown paths
+            try:
+                net.path_for(origin, movement)  # fail fast on unknown paths
+            except KeyError:
+                raise ConfigError(f"unknown path [{origin!r}, {movement!r}] in paths") from None
             t = 0.0
             while True:
                 t += float(rng.exponential(1.0 / rate))
@@ -272,7 +281,11 @@ def generate_arrivals(config: SimConfig, net: ZoneNetwork | None = None) -> list
 
 @dataclass
 class VehicleTrajectory:
-    """Per-zone trajectories stitched over a vehicle's whole traversal."""
+    """Per-zone trajectories stitched over a vehicle's whole traversal.
+
+    Evaluation runs on one flat ArcTable over every zone's arcs in order,
+    built on first use, plus the zone id of each arc for zone lookups.
+    """
 
     vehicle_id: int
     zone_ids: tuple[int, ...]
@@ -290,26 +303,23 @@ class VehicleTrajectory:
     def energy(self) -> float:
         return sum(z.energy for z in self.zones)
 
-    def _route(self, t: np.ndarray) -> np.ndarray:
-        edges = np.asarray([z.t_end for z in self.zones])
-        return np.clip(np.searchsorted(edges, t, side="left"), 0, len(self.zones) - 1)
+    @cached_property
+    def table(self) -> ArcTable:
+        return ArcTable(tuple(a for z in self.zones for a in z.arcs))
+
+    @cached_property
+    def _arc_zone_ids(self) -> np.ndarray:
+        return np.repeat(self.zone_ids, [len(z.arcs) for z in self.zones])
 
     def eval_many(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """State samples; past the exit the vehicle coasts at exit speed."""
         t = np.asarray(t, dtype=float)
-        p = np.empty_like(t)
-        v = np.empty_like(t)
-        u = np.empty_like(t)
-        inside = np.clip(t, self.t_start, self.t_end)
-        idx = self._route(inside)
-        for k, z in enumerate(self.zones):
-            m = idx == k
-            if m.any():
-                p[m], v[m], u[m] = z.eval_many(inside[m])
-        beyond = t > self.t_end
+        t_end = self.t_end
+        p, v, u = self.table.eval_many(np.minimum(np.maximum(t, self.t_start), t_end))
+        beyond = t > t_end
         if beyond.any():
             pe, ve, _ = self.zones[-1].arcs[-1].end_state()
-            p[beyond] = pe + ve * (t[beyond] - self.t_end)
+            p[beyond] = pe + ve * (t[beyond] - t_end)
             v[beyond] = ve
             u[beyond] = 0.0
         return p, v, u
@@ -319,14 +329,10 @@ class VehicleTrajectory:
         return float(p[0]), float(v[0]), float(u[0])
 
     def zone_at(self, t: np.ndarray) -> np.ndarray:
-        ids = np.asarray(self.zone_ids)
-        return ids[self._route(np.asarray(t, dtype=float))]
+        return self._arc_zone_ids[self.table.index(np.asarray(t, dtype=float))]
 
     def sample(self, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        n = int(math.floor((self.t_end - self.t_start) / dt + 1e-9))
-        t = self.t_start + np.arange(n + 1) * dt
-        if self.t_end - t[-1] > 1e-9:
-            t = np.append(t, self.t_end)
+        t = sample_times(self.t_start, self.t_end, dt)
         p, v, u = self.eval_many(t)
         return t, p, v, u
 
@@ -775,16 +781,20 @@ def compute_metrics(
     t_lo = min(r.t0 for r in records)
     t_hi = max(r.schedule.exit_time for r in records)
     grid = np.arange(t_lo, t_hi, 0.5)
+    # speeds per grid column in record order, each record evaluated once
+    # over the grid points inside [t0, exit]
+    columns: list[list[float]] = [[] for _ in range(len(grid))]
+    for r in records:
+        lo = int(np.searchsorted(grid, r.t0, side="left"))
+        hi = int(np.searchsorted(grid, r.schedule.exit_time, side="right"))
+        _p, v, _u = r.trajectory.eval_many(grid[lo:hi])
+        for col, x in zip(columns[lo:hi], v.tolist()):
+            col.append(x)
     mins: list[float | None] = []
     means: list[float | None] = []
     maxs: list[float | None] = []
     min_speed = math.inf
-    for t in grid:
-        vs = [
-            r.trajectory.eval(float(t))[1]
-            for r in records
-            if r.t0 <= t <= r.schedule.exit_time
-        ]
+    for vs in columns:
         if vs:
             mins.append(min(vs))
             means.append(sum(vs) / len(vs))

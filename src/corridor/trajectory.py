@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import brentq
@@ -138,9 +139,61 @@ class Arc:
         return min(self.u0, u_end), max(self.u0, u_end)
 
 
+class ArcTable:
+    """Flat table over a time-ordered arc sequence: the evaluation kernel.
+
+    Holds the arcs' t1 edges, their (t0, p0, v0, u0, slope) columns and the
+    indices of any sampled "follow" arcs.  One searchsorted routes a batch of
+    times to arcs (past the last edge, to the last arc); the polynomial runs
+    on gathered columns in Arc.eval_many's expression order, so values equal
+    per-arc evaluation bit for bit, and only elements inside follow arcs are
+    interpolated.  The edges are a running maximum: where piecing dust lets a
+    zone's last arc end after the next zone's first one, times in the overlap
+    stay with the earlier zone.
+    """
+
+    def __init__(self, arcs: tuple[Arc, ...]):
+        self.arcs = arcs
+        self.edges = np.maximum.accumulate(np.asarray([a.t1 for a in arcs]))
+        self.t0, self.p0, self.v0, self.u0, self.slope = (
+            np.asarray(col) for col in zip(*((a.t0, a.p0, a.v0, a.u0, a.slope) for a in arcs))
+        )
+        self.follow = [k for k, a in enumerate(arcs) if a.label == "follow"]
+
+    def index(self, t: np.ndarray) -> np.ndarray:
+        """Arc index per time: the first arc whose end is at or after it."""
+        return np.minimum(np.searchsorted(self.edges, t, side="left"), len(self.arcs) - 1)
+
+    def eval_many(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        idx = self.index(t)
+        u0, slope, v0 = self.u0[idx], self.slope[idx], self.v0[idx]
+        s = t - self.t0[idx]
+        u = u0 + slope * s
+        v = v0 + u0 * s + 0.5 * slope * s * s
+        p = self.p0[idx] + v0 * s + 0.5 * u0 * s * s + slope * s**3 / 6.0
+        for k in self.follow:
+            m = idx == k
+            if m.any():
+                p[m], v[m], u[m] = self.arcs[k].eval_many(t[m])
+        return p, v, u
+
+
+def sample_times(t_start: float, t_end: float, dt: float) -> np.ndarray:
+    """Times every dt from t_start, with t_end appended unless the grid hits it."""
+    n = int(math.floor((t_end - t_start) / dt + 1e-9))
+    t = t_start + np.arange(n + 1) * dt
+    if t_end - t[-1] > 1e-9:
+        t = np.append(t, t_end)
+    return t
+
+
 @dataclass(eq=False)
 class ZoneTrajectory:
-    """Contiguous arcs covering one zone's scheduled window."""
+    """Contiguous arcs covering one zone's scheduled window.
+
+    Evaluation goes through the zone's ArcTable, built on first use; times
+    outside the window extend the first or last arc's polynomial.
+    """
 
     zone_id: int
     arcs: tuple[Arc, ...]
@@ -157,30 +210,19 @@ class ZoneTrajectory:
     def energy(self) -> float:
         return sum(a.energy for a in self.arcs)
 
+    @cached_property
+    def table(self) -> ArcTable:
+        return ArcTable(self.arcs)
+
     def eval(self, t: float) -> tuple[float, float, float]:
-        for arc in self.arcs:
-            if t <= arc.t1 or arc is self.arcs[-1]:
-                return arc.eval(t)
-        raise ValueError("time outside trajectory")
+        p, v, u = self.eval_many(np.asarray([float(t)]))
+        return float(p[0]), float(v[0]), float(u[0])
 
     def eval_many(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        p = np.empty_like(t)
-        v = np.empty_like(t)
-        u = np.empty_like(t)
-        edges = np.asarray([a.t1 for a in self.arcs])
-        idx = np.searchsorted(edges, t, side="left")
-        idx = np.clip(idx, 0, len(self.arcs) - 1)
-        for k, arc in enumerate(self.arcs):
-            m = idx == k
-            if m.any():
-                p[m], v[m], u[m] = arc.eval_many(t[m])
-        return p, v, u
+        return self.table.eval_many(np.asarray(t, dtype=float))
 
     def sample(self, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        n = int(math.floor((self.t_end - self.t_start) / dt + 1e-9))
-        t = self.t_start + np.arange(n + 1) * dt
-        if self.t_end - t[-1] > 1e-9:
-            t = np.append(t, self.t_end)
+        t = sample_times(self.t_start, self.t_end, dt)
         p, v, u = self.eval_many(t)
         return t, p, v, u
 
@@ -643,18 +685,15 @@ def check_rear_end(
     p_f, v_f, _ = follower.eval_many(t)
     margin = (p_l - leader_anchor) - (p_f - follower_anchor) - gamma - phi * v_f
     bad = margin < -tol
-    out = []
-    i = 0
-    while i <= n:
-        if bad[i]:
-            j = i
-            while j + 1 <= n and bad[j + 1]:
-                j += 1
-            out.append((float(t[i]), float(t[j]), float(margin[i : j + 1].min())))
-            i = j + 1
-        else:
-            i += 1
-    return out
+    if not bad.any():
+        return []
+    # a violating run starts where the padded mask turns on and ends one
+    # sample before it turns off
+    edges = np.flatnonzero(np.diff(bad, prepend=False, append=False))
+    return [
+        (float(t[i]), float(t[j - 1]), float(margin[i:j].min()))
+        for i, j in zip(edges[::2].tolist(), edges[1::2].tolist())
+    ]
 
 
 def follow_arc(

@@ -77,6 +77,27 @@ def test_unsafe_headway_exits_3(tmp_path, cfg_file, capsys):
     assert "13" in err and "16" in err
 
 
+@pytest.mark.parametrize("field", ["rear_end_dt", "fuel_dt", "trace_dt", "hold_dt", "vmerge_step"])
+@pytest.mark.parametrize("value", [0, -0.1])
+def test_non_positive_step_exits_2_without_artifacts(tmp_path, cfg_file, capsys, field, value):
+    cfg = cfg_file("step.json", {**POISSON_CFG, field: value})
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert field in err and "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_unknown_path_exits_2_without_artifacts(tmp_path, cfg_file, capsys):
+    cfg = cfg_file("paths.json", {"paths": [["EB", "through"], ["XX", "through"]]})
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "'XX'" in err and "'through'" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_unknown_policy_is_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--out", str(tmp_path / "out"), "--policy", "greedy"])

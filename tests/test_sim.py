@@ -269,6 +269,50 @@ def test_fifo_run_repairs_and_stays_safe():
     assert check_lateral(res.records, 1.5) == 0
 
 
+def reference_vehicle_eval(traj, t):
+    """Clamp into the traversal, route by zone end time then arc end time,
+    evaluate that arc alone, and coast at the exit speed past the end."""
+    out = np.empty((3, len(t)))
+    for i, ti in enumerate(t):
+        tc = min(max(ti, traj.t_start), traj.t_end)
+        zone = next((z for z in traj.zones if tc <= z.t_end), traj.zones[-1])
+        arc = next((a for a in zone.arcs if tc <= a.t1), zone.arcs[-1])
+        out[:, i] = [x[0] for x in arc.eval_many(np.asarray([tc]))]
+        if ti > traj.t_end:
+            pe, ve, _ = traj.zones[-1].arcs[-1].end_state()
+            out[:, i] = (pe + ve * (ti - traj.t_end), ve, 0.0)
+    return out
+
+
+def test_vehicle_kernel_matches_per_arc_eval_bitwise():
+    res = run(small_poisson(20, 5, policy="fifo"))
+    repaired = [r for r in res.records if r.repairs]
+    assert repaired
+    for rec in repaired + res.records[:3]:
+        traj = rec.trajectory
+        arcs = [a for z in traj.zones for a in z.arcs]
+        follow = [a.samples[0][1:200:7] + 2e-4 for a in arcs if a.label == "follow"]
+        assert follow or rec.repairs == 0
+        t = np.concatenate(
+            [
+                [traj.t_start - 3.0, traj.t_start],
+                [a.t0 for a in arcs],
+                [a.t1 for a in arcs],
+                *follow,
+                np.linspace(traj.t_start, traj.t_end, 501),
+                [traj.t_end, traj.t_end + 1e-9, traj.t_end + 4.0],
+            ]
+        )
+        p, v, u = traj.eval_many(t)
+        ref = reference_vehicle_eval(traj, t)
+        assert np.array_equal(p, ref[0])
+        assert np.array_equal(v, ref[1])
+        assert np.array_equal(u, ref[2])
+        ends = [z.t_end for z in traj.zones]
+        zone_ref = [traj.zone_ids[next((k for k, e in enumerate(ends) if ti <= e), -1)] for ti in t]
+        assert traj.zone_at(t).tolist() == zone_ref
+
+
 def test_light_traffic_needs_no_fallback():
     res = run(SimConfig(volume_veh_h=400.0, seed=1))
     assert res.metrics.fallbacks == 0

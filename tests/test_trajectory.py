@@ -415,3 +415,132 @@ def test_follow_arc_exits_quickly_with_clearance():
     arc, tau2, _info = follow_arc(0.0, (95.0, 15.0), lead, 0.0, 0.0, bvp, GAMMA, PHI)
     assert tau2 <= 0.002
     assert arc.duration <= 0.002
+
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="known fault: tracking applies u = (v_leader - v)/phi without clipping at u_min",
+)
+def test_follow_arc_control_respects_u_min_behind_slower_leader():
+    # tangency behind a leader 4 m/s slower: entry control is (10 - 14)/0.2
+    lead = ZoneTrajectory(0, (Arc("cruise", 0.0, 8.0, p0=102.8, v0=10.0),))
+    bvp = ZoneBVP(9, 0.0, 6.0, BoundaryState(95.0, 14.0), BoundaryState(155.0, 10.0), LIM)
+    arc, _tau2, info = follow_arc(0.0, (95.0, 14.0), lead, 0.0, 0.0, bvp, GAMMA, PHI)
+    assert abs(info["remainder"].t_end - bvp.t_end) <= TOL  # a clean exit was found
+    assert arc.control_extrema()[0] >= LIM.u_min - TOL
+
+
+# ---------------------------------------------------------------------------
+# evaluation kernel
+# ---------------------------------------------------------------------------
+
+
+def reference_zone_eval(traj: ZoneTrajectory, t: np.ndarray):
+    """Per-time arc lookup (first arc ending at or after t, else the last)
+    and that arc's own Arc.eval_many, which interpolates follow samples."""
+    out = np.empty((3, len(t)))
+    for i, ti in enumerate(t):
+        arc = next((a for a in traj.arcs if ti <= a.t1), traj.arcs[-1])
+        out[:, i] = [x[0] for x in arc.eval_many(np.asarray([ti]))]
+    return out
+
+
+def kernel_times(traj: ZoneTrajectory) -> np.ndarray:
+    """Times before the start, on every arc edge, inside arcs and follow
+    samples, and past the end."""
+    edges = [a.t0 for a in traj.arcs] + [a.t1 for a in traj.arcs]
+    inside = [0.5 * (a.t0 + a.t1) for a in traj.arcs]
+    follow = [a.samples[0][1:40:3] + 3e-4 for a in traj.arcs if a.label == "follow"]
+    grid = np.linspace(traj.t_start, traj.t_end, 301)
+    return np.concatenate([[traj.t_start - 1.0], edges, inside, *follow, grid, [traj.t_end + 2.0]])
+
+
+def test_zone_kernel_matches_per_arc_eval_bitwise():
+    bnd = bounds_for(600.0, 15.0, 15.0)
+    saturated = solve_zone(bvp_for(600.0, 15.0, 15.0, bnd.release + 0.1, t0=123.4), bnd)
+    assert len(saturated.arcs) > 3
+    lead = _leader_decel_then_accel()
+    bvp = ZoneBVP(9, 0.0, 6.0, BoundaryState(95.0, 14.0), BoundaryState(172.0, 13.0), LIM)
+    arc, _tau2, info = follow_arc(0.0, (95.0, 14.0), lead, 0.0, 0.0, bvp, GAMMA, PHI)
+    tracked = ZoneTrajectory(9, (arc,) + info["remainder"].arcs)
+    for traj in (saturated, lead, tracked):
+        t = kernel_times(traj)
+        p, v, u = traj.eval_many(t)
+        ref = reference_zone_eval(traj, t)
+        assert np.array_equal(p, ref[0])
+        assert np.array_equal(v, ref[1])
+        assert np.array_equal(u, ref[2])
+
+
+# ---------------------------------------------------------------------------
+# violating-run extraction
+# ---------------------------------------------------------------------------
+
+
+class _Prescribed:
+    """Stub trajectory whose position on the check grid is a given series."""
+
+    def __init__(self, t: np.ndarray, p: np.ndarray):
+        self.t, self.p = t, p
+
+    def eval_many(self, t):
+        assert np.array_equal(t, self.t)
+        return self.p, np.zeros_like(t), np.zeros_like(t)
+
+
+def reference_runs(t, margin, tol):
+    """Scalar scan over the samples: one (start, end, worst) per violating run."""
+    out = []
+    i, n = 0, len(t) - 1
+    while i <= n:
+        if margin[i] < -tol:
+            j = i
+            while j + 1 <= n and margin[j + 1] < -tol:
+                j += 1
+            out.append((float(t[i]), float(t[j]), float(margin[i : j + 1].min())))
+            i = j + 1
+        else:
+            i += 1
+    return out
+
+
+@pytest.mark.parametrize(
+    "pattern",
+    [
+        "..........",  # no violation
+        "xxxxxxxxxx",  # every sample violates
+        "x.x.x.x.xx",  # single-sample runs, one touching t_lo
+        ".x.x.x.x.x",  # single-sample run touching t_hi
+        "xxx....xxx",  # runs touching both ends
+        "...xxxx...",
+    ],
+)
+def test_check_rear_end_runs_match_scalar_scan(pattern):
+    t_lo, t_hi, dt = 3.0, 3.09, 0.01
+    n = max(int(math.ceil((t_hi - t_lo) / dt)), 1)
+    t = np.linspace(t_lo, t_hi, n + 1)
+    assert n + 1 == len(pattern)
+    rng = np.random.default_rng(len(pattern) + pattern.count("x"))
+    bad = np.asarray([c == "x" for c in pattern])
+    margin = np.where(bad, -rng.uniform(1e-3, 1.0, n + 1), rng.uniform(0.0, 1.0, n + 1))
+    lead = _Prescribed(t, margin)
+    foll = _Prescribed(t, np.zeros_like(t))
+    got = check_rear_end(lead, 0.0, foll, 0.0, t_lo, t_hi, 0.0, 0.0, dt=dt, tol=1e-6)
+    assert got == reference_runs(t, margin, 1e-6)
+    assert len(got) == len([r for r in pattern.split(".") if r])
+
+
+def test_check_rear_end_runs_match_scalar_scan_random():
+    rng = np.random.default_rng(11)
+    t_lo, t_hi, dt = 0.0, 5.0, 0.01
+    n = max(int(math.ceil((t_hi - t_lo) / dt)), 1)
+    t = np.linspace(t_lo, t_hi, n + 1)
+    for density in (0.05, 0.5, 0.95):
+        margin = np.where(rng.random(n + 1) < density, -rng.uniform(0.0, 1.0, n + 1), 1.0)
+        got = check_rear_end(
+            _Prescribed(t, margin), 0.0, _Prescribed(t, np.zeros_like(t)), 0.0,
+            t_lo, t_hi, 0.0, 0.0, dt=dt, tol=1e-6,
+        )
+        assert got == reference_runs(t, margin, 1e-6)
