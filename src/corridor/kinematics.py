@@ -103,21 +103,6 @@ class AccelProfile:
             v += s.accel * s.duration
         return BoundaryState(p, v)
 
-    def state_at(self, t: float) -> tuple[float, float]:
-        """Exact (position, speed) at elapsed time t within the profile."""
-        if t < -1e-12:
-            raise ValueError("t before profile start")
-        p, v = self.start.position, self.start.speed
-        rem = t
-        for s in self.segments:
-            dt = min(rem, s.duration)
-            p += v * dt + 0.5 * s.accel * dt**2
-            v += s.accel * dt
-            rem -= dt
-            if rem <= 0:
-                break
-        return p, v
-
     def speed_range(self) -> tuple[float, float]:
         """Min and max speed attained over the profile (at junctions)."""
         v = self.start.speed

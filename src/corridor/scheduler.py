@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -455,15 +455,6 @@ class CentralizedEntry:
     windows: tuple[ZoneBounds, ...]
 
 
-@dataclass
-class CentralizedStats:
-    nodes: int = 0
-    candidates: int = 0
-    wall_ms: float = 0.0
-    free_runs: int = 0
-    optimal: bool = True
-
-
 class _JointRuns:
     """Flat arrays describing every free pair run for vectorized checks."""
 
@@ -494,7 +485,7 @@ def solve_centralized(
     headway: float,
     node_budget: int = 4000,
     seed_schedules: dict[int, ScheduleTuple] | None = None,
-) -> tuple[dict[int, ScheduleTuple], CentralizedStats]:
+) -> tuple[dict[int, ScheduleTuple], SolveStats]:
     """Joint schedule minimizing the sum of exit times over all vehicles.
 
     Branch-and-bound over pair-run binaries on one temporal network holding
@@ -508,7 +499,7 @@ def solve_centralized(
     are order-fixed to that sequence.
     """
     t_begin = time.perf_counter()
-    stats = CentralizedStats()
+    stats = SolveStats()
     n_veh = len(entries)
     for a, b in zip(entries, entries[1:]):
         if b.t0 < a.t0 - _EPS:
@@ -563,8 +554,16 @@ def solve_centralized(
 
     NEG = -math.inf
 
-    def propagate(dist: np.ndarray, new_edges: list[tuple[int, int, float]], overlay: dict[int, list[tuple[int, float]]]) -> bool:
-        """SPFA longest-path update after adding edges; False on positive cycle."""
+    def propagate(
+        dist: list[float],
+        new_edges: list[tuple[int, int, float]],
+        out: list[list[tuple[int, float]]],
+    ) -> bool:
+        """SPFA longest-path update of dist after new_edges join the graph.
+
+        out[u] holds every edge leaving u: the base edges, then the decided
+        run edges in decision order.  False on a positive cycle.
+        """
         q = deque()
         inq = bytearray(n_nodes)
         counts = [0] * n_nodes
@@ -579,7 +578,7 @@ def solve_centralized(
             u = q.popleft()
             inq[u] = 0
             du = dist[u]
-            for v, w in adj[u]:
+            for v, w in out[u]:
                 if du + w > dist[v] + 1e-12:
                     dist[v] = du + w
                     counts[v] += 1
@@ -588,24 +587,13 @@ def solve_centralized(
                     if not inq[v]:
                         q.append(v)
                         inq[v] = 1
-            extra = overlay.get(u)
-            if extra:
-                for v, w in extra:
-                    if du + w > dist[v] + 1e-12:
-                        dist[v] = du + w
-                        counts[v] += 1
-                        if counts[v] > n_nodes:
-                            return False
-                        if not inq[v]:
-                            q.append(v)
-                            inq[v] = 1
         return True
 
     # root relaxation from scratch
-    root = np.full(n_nodes, NEG)
+    root = [NEG] * n_nodes
     root[origin] = 0.0
     seeds = [(origin, v, w) for v, w in adj[origin]]
-    if not propagate(root, seeds, {}):
+    if not propagate(root, seeds, adj):
         raise Infeasible("joint schedule infeasible under forced lane order")
 
     # incumbent from the sequential schedules, if provided
@@ -628,28 +616,30 @@ def solve_centralized(
         idx = np.flatnonzero(viol)
         return int(idx[0]) if idx.size else -1
 
-    def extract(dist: np.ndarray) -> dict[int, ScheduleTuple]:
-        out = {}
+    def extract(dist: list[float]) -> dict[int, ScheduleTuple]:
+        scheds = {}
         for k, e in enumerate(entries):
             off = offsets[k]
-            n = len(e.path.zone_ids)
-            times = tuple(float(dist[off + i]) for i in range(n + 1))
-            out[e.vehicle_id] = ScheduleTuple(e.vehicle_id, e.path.zone_ids, times)
-        return out
+            times = tuple(dist[off : off + len(e.path.zone_ids) + 1])
+            scheds[e.vehicle_id] = ScheduleTuple(e.vehicle_id, e.path.zone_ids, times)
+        return scheds
 
-    # DFS stack: (dist snapshot, decided snapshot, overlay chain)
-    stack = [(root, np.zeros(len(runs), dtype=np.int8), {})]
+    # DFS stack: (dist snapshot, decided snapshot, per-node out-edge lists).
+    # A child shares its parent's out lists except at the tails of its new
+    # edges, which get fresh lists, so no entry ever mutates another's.
+    stack = [(root, np.zeros(len(runs), dtype=np.int8), adj)]
     budget_hit = False
     while stack:
-        dist, decided, overlay = stack.pop()
+        dist, decided, out = stack.pop()
         stats.nodes += 1
         if stats.nodes > node_budget:
             budget_hit = True
             break
-        obj = float(dist[exit_idx].sum())
+        dist_arr = np.array(dist)
+        obj = float(dist_arr[exit_idx].sum())
         if obj >= best_obj - 1e-9:
             continue
-        branch = run_states(dist, decided)
+        branch = run_states(dist_arr, decided)
         if branch < 0:
             best_obj = obj
             best_schedules = extract(dist)
@@ -657,24 +647,24 @@ def solve_centralized(
             continue
         s = runs.starts[branch]
         n = runs.sizes[branch]
-        vi = runs.vi[s : s + n]
-        vj = runs.vj[s : s + n]
+        vi = runs.vi[s : s + n].tolist()
+        vj = runs.vj[s : s + n].tolist()
         # push pass-before second so pass-after is explored first
         for order in (1, 0):
             if order == 0:
-                new_edges = [(int(a), int(b), h) for a, b in zip(vi, vj)]
+                new_edges = [(a, b, h) for a, b in zip(vi, vj)]
             else:
-                new_edges = [(int(b), int(a), h) for a, b in zip(vi, vj)]
+                new_edges = [(b, a, h) for a, b in zip(vi, vj)]
             child = dist.copy()
-            child_overlay = {u: list(es) for u, es in overlay.items()}
+            child_out = out.copy()
             for u, v, w in new_edges:
-                child_overlay.setdefault(u, []).append((v, w))
-            if not propagate(child, new_edges, child_overlay):
+                child_out[u] = child_out[u] + [(v, w)]
+            if not propagate(child, new_edges, child_out):
                 stats.nodes += 1
                 continue
             child_decided = decided.copy()
             child_decided[branch] = 1 if order == 0 else -1
-            stack.append((child, child_decided, child_overlay))
+            stack.append((child, child_decided, child_out))
 
     stats.optimal = not budget_hit
     stats.wall_ms = (time.perf_counter() - t_begin) * 1e3

@@ -199,6 +199,8 @@ class SimConfig:
 
     @classmethod
     def from_json(cls, data: dict) -> "SimConfig":
+        if not isinstance(data, dict):
+            raise ConfigError(f"config must be a JSON object, got {type(data).__name__}")
         unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
@@ -747,13 +749,7 @@ def _rerun_centralized(records: list[VehicleRecord], config: SimConfig) -> list[
     )
     for r in ordered:
         r.schedule = scheds[r.vehicle_id]
-        r.stats = SolveStats(
-            nodes=cstats.nodes,
-            candidates=cstats.candidates,
-            wall_ms=cstats.wall_ms / len(ordered),
-            free_runs=cstats.free_runs,
-            optimal=cstats.optimal,
-        )
+        r.stats = replace(cstats, wall_ms=cstats.wall_ms / len(ordered))
         r.trajectory = synthesize_trajectory(
             r.path, r.schedule, r.bounds, r.entry_speed, r.boundary_speed, config
         )

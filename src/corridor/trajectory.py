@@ -29,7 +29,7 @@ jump bookkeeping at those junctions is reported, not enforced.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -286,20 +286,6 @@ def solve_unconstrained(bvp: ZoneBVP) -> Arc:
         u0=b,
         slope=a,
     )
-
-
-def _profile_arcs(profile: AccelProfile, t_start: float) -> list[Arc]:
-    """Constant-acceleration profile converted to arcs."""
-    arcs = []
-    t = t_start
-    p, v = profile.start.position, profile.start.speed
-    for seg in profile.segments:
-        label = "cruise" if seg.accel == 0.0 else "const"
-        arcs.append(Arc(label, t, t + seg.duration, p0=p, v0=v, u0=seg.accel, slope=0.0))
-        p += v * seg.duration + 0.5 * seg.accel * seg.duration**2
-        v += seg.accel * seg.duration
-        t += seg.duration
-    return arcs
 
 
 @dataclass

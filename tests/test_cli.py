@@ -98,6 +98,17 @@ def test_unknown_path_exits_2_without_artifacts(tmp_path, cfg_file, capsys):
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("data", [[], "", 3, None, [["volume_veh_h", 600.0]]])
+def test_non_object_config_exits_2_without_artifacts(tmp_path, cfg_file, capsys, data):
+    cfg = cfg_file("cfg.json", data)
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "JSON object" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_unknown_policy_is_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--out", str(tmp_path / "out"), "--policy", "greedy"])

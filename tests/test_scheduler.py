@@ -5,6 +5,7 @@ over every before/after assignment, run through an independent longest-path
 oracle written here.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -29,6 +30,7 @@ from corridor.scheduler import (
     to_model,
     traversal_bounds,
 )
+from corridor.sim import SimConfig, run
 
 LIM = Limits(-1.0, 1.0, 5.0, 25.0)
 V_MERGE = 15.0
@@ -401,3 +403,38 @@ def test_centralized_rejects_unsorted_entries():
     e2 = CentralizedEntry(2, SB2, 0.0, traversal_bounds(SB2, 15.0, LIM, V_MERGE))
     with pytest.raises(ValueError):
         solve_centralized([e1, e2], H)
+
+
+@pytest.mark.parametrize(
+    "budget, candidates, digest",
+    [
+        # the fourth candidate is the 404th node counted; it falls inside
+        # the budget only if the four pruned children before it go uncounted
+        (400, 3, "a028d516a1eb4e88b816039e2593f9739d48ea5cbcc9e559e5703e464a7b5ec2"),
+        (500, 4, "ec5623f2eb1b845d37e7a9e03cc784eb3a0dcbd4e9f6fada635487a2eae153f6"),
+    ],
+)
+def test_centralized_search_on_poisson_cell_is_pinned(budget, candidates, digest):
+    """The joint DFS on Poisson cell (30,2), stopped by its node budget
+    after four children were pruned on a positive cycle.  Entries and seeds
+    are built as the centralized policy builds them, from the sequential
+    (decentralized) pass it re-solves.  The node count, candidates and
+    every schedule time (as float.hex) are pinned, so a change of search
+    order, node counting or arithmetic shows here."""
+    cfg = SimConfig(arrival_mode="poisson", n_vehicles=30, seed=2)
+    ordered = sorted(run(cfg).records, key=lambda r: (r.t0, r.vehicle_id))
+    entries = [CentralizedEntry(r.vehicle_id, r.path, r.t0, windows=r.bounds) for r in ordered]
+    seeds = {r.vehicle_id: r.schedule for r in ordered}
+    scheds, stats = solve_centralized(
+        entries, cfg.headway, node_budget=budget, seed_schedules=seeds
+    )
+    assert (stats.nodes, stats.candidates, stats.free_runs, stats.optimal) == (
+        budget + 1,
+        candidates,
+        215,
+        False,
+    )
+    sha = hashlib.sha256()
+    for e in entries:
+        sha.update(" ".join(float.hex(x) for x in scheds[e.vehicle_id].times).encode() + b"\n")
+    assert sha.hexdigest() == digest

@@ -269,6 +269,13 @@ def test_fifo_run_repairs_and_stays_safe():
     assert check_lateral(res.records, 1.5) == 0
 
 
+def test_fifo_run_with_a_repair_stays_safe():
+    res = run(small_poisson(20, 5, policy="fifo"))
+    assert res.metrics.repairs >= 1
+    assert reverify_rear_end(res) == []
+    assert check_lateral(res.records, 1.5) == 0
+
+
 def reference_vehicle_eval(traj, t):
     """Clamp into the traversal, route by zone end time then arc end time,
     evaluate that arc alone, and coast at the exit speed past the end."""
