@@ -33,14 +33,13 @@ from .network import build_network, conflict_runs
 from .scheduler import (
     CentralizedEntry,
     Infeasible,
-    RunConstraint,
-    SchedulingInstance,
+    DisjunctiveBlock,
+    DisjunctiveModel,
     ZoneBounds,
     build_instance,
     enumerate_exact,
     solve,
     solve_centralized,
-    to_model,
     traversal_bounds,
 )
 from .sim import (
@@ -49,6 +48,7 @@ from .sim import (
     SafetyViolation,
     Saturated,
     SimConfig,
+    UnsafeHeadway,
     compare_policies,
     metrics_json,
     schedules_json,
@@ -295,33 +295,31 @@ def _suite_kinematics(rng, n=2000) -> tuple[str, str]:
     return "PASS", f"{checked} random boundary pairs, 3 worked values"
 
 
-def _random_scheduling_instance(rng) -> SchedulingInstance:
+def _random_scheduling_model(rng) -> DisjunctiveModel:
     n = int(rng.integers(2, 6))
     releases = rng.uniform(2.0, 10.0, n)
     deadlines = releases + rng.uniform(1.0, 25.0, n)
     zone_ids = tuple(int(z) for z in rng.choice(100, n, replace=False))
-    conflicts = []
+    blocks = []
     for other in range(int(rng.integers(0, 5))):
         run_len = int(rng.integers(1, n + 1))
         at = int(rng.integers(0, n - run_len + 1))
         base = float(rng.uniform(0.0, 45.0))
         gaps = np.cumsum(rng.uniform(1.0, 8.0, run_len))
-        conflicts.append(
-            RunConstraint(
+        blocks.append(
+            DisjunctiveBlock(
                 other_id=100 + other,
-                zones=zone_ids[at : at + run_len],
+                var_indices=tuple(range(at, at + run_len)),
                 other_times=tuple(float(base + g) for g in gaps),
-                relation="merge" if run_len > 1 else "cross",
-                order_fixed=bool(rng.random() < 0.25),
+                fixed=bool(rng.random() < 0.25),
             )
         )
-    return SchedulingInstance(
+    return DisjunctiveModel(
         vehicle_id=1,
         zone_ids=zone_ids,
         t0=float(rng.uniform(0.0, 5.0)),
-        entry_speed=15.0,
-        bounds=tuple(ZoneBounds(float(r), float(d)) for r, d in zip(releases, deadlines)),
-        conflicts=tuple(conflicts),
+        windows=tuple(ZoneBounds(float(r), float(d)) for r, d in zip(releases, deadlines)),
+        blocks=tuple(blocks),
         headway=_H,
     )
 
@@ -329,7 +327,7 @@ def _random_scheduling_instance(rng) -> SchedulingInstance:
 def _suite_scheduler(rng, n=250) -> tuple[str, str]:
     solved = infeasible = 0
     for i in range(n):
-        model = to_model(_random_scheduling_instance(rng))
+        model = _random_scheduling_model(rng)
         ref, _ = enumerate_exact(model)
         if ref is None:
             try:
@@ -357,11 +355,11 @@ def _suite_centralized(rng, node_budget: int, n=4) -> tuple[str, str]:
         for vid in range(3):
             t0 += float(rng.uniform(2.0, 5.0))
             path = paths[int(rng.integers(0, len(paths)))]
-            inst = build_instance(vid, path, t0, 15.0, committed, _LIM, 15.0, _H)
-            sched, _ = solve(to_model(inst))
+            model = build_instance(vid, path, t0, 15.0, committed, _LIM, 15.0, _H)
+            sched, _ = solve(model)
             committed.append((sched, path))
             seeds[vid] = sched
-            entries.append(CentralizedEntry(vid, path, t0, inst.bounds))
+            entries.append(CentralizedEntry(vid, path, t0, model.windows))
         scheds, stats = solve_centralized(
             entries, _H, node_budget=node_budget, seed_schedules=seeds
         )
@@ -490,7 +488,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
-        return 3 if "unsafe headway" in str(e) else 2
+        return 3 if isinstance(e, UnsafeHeadway) else 2
     except FileExistsError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

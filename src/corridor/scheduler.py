@@ -16,9 +16,14 @@ over undecided runs therefore yields exact optima: a relaxation that violates
 no disjunction is already feasible, and its value lower-bounds every
 completion.
 
-Runs over a stretch both paths travel in the same lane order share one
-binary; forcing it to "pass after" encodes overtaking being impossible when
-the stretch starts at both vehicles' entry approach or the paths coincide.
+build_instance emits the one model, a DisjunctiveModel: the vehicle's
+windows plus one DisjunctiveBlock per conflict run against a committed
+vehicle.  solve, solve_fifo and enumerate_exact all read it.  The joint
+(centralized) solve puts every vehicle's chain on one graph.  Both turn
+conflict runs into ties by the same rule, _run_ties: a shared-lane run also
+ties the boundary after it, and a run on a shared entry approach or on
+identical paths is fixed to "pass after", because overtaking is impossible
+there.
 """
 
 from __future__ import annotations
@@ -40,44 +45,12 @@ class Infeasible(RuntimeError):
     """No schedule satisfies the bounds and separation constraints."""
 
 
-class HorizonRequired(ValueError):
-    """An unbounded deadline needs a configured horizon to emit big-M data."""
-
-
 @dataclass(frozen=True)
 class ZoneBounds:
     """Traversal-time window for one zone; deadline None means unbounded."""
 
     release: float
     deadline: float | None
-
-
-@dataclass(frozen=True)
-class RunConstraint:
-    """Separation against one committed vehicle over one conflict run.
-
-    Same-direction runs carry the committed vehicle's boundary time after
-    the run in other_exit: a single lane admits no overtaking anywhere along
-    the stretch, leaving it included.  Cross runs separate entries only.
-    """
-
-    other_id: int
-    zones: tuple[int, ...]
-    other_times: tuple[float, ...]
-    relation: str
-    order_fixed: bool  # True: must pass after (no overtaking on a shared lane)
-    other_exit: float | None = None
-
-
-@dataclass(frozen=True)
-class SchedulingInstance:
-    vehicle_id: int
-    zone_ids: tuple[int, ...]
-    t0: float
-    entry_speed: float
-    bounds: tuple[ZoneBounds, ...]
-    conflicts: tuple[RunConstraint, ...]
-    headway: float
 
 
 @dataclass(frozen=True)
@@ -113,47 +86,41 @@ class ScheduleTuple:
 
 @dataclass(frozen=True)
 class DisjunctiveBlock:
-    """One run's big-M disjunction: variables against committed constants."""
+    """Separation against one other vehicle over one conflict run.
+
+    The vehicle passes at least a headway after the other one at every tied
+    time index, or at least a headway before it at all of them.
+    """
 
     other_id: int
     var_indices: tuple[int, ...]
     other_times: tuple[float, ...]
-    fixed_order: int | None  # 0 forces pass-after; None leaves the binary free
+    fixed: bool  # True forces pass-after; False leaves the binary free
 
 
 @dataclass(frozen=True)
 class DisjunctiveModel:
+    """One vehicle's scheduling problem: its time chain plus run blocks.
+
+    Blocks are kept sorted by (first tied index, other vehicle), the order
+    the solvers branch in.
+    """
+
     vehicle_id: int
     zone_ids: tuple[int, ...]
     t0: float
     windows: tuple[ZoneBounds, ...]
     blocks: tuple[DisjunctiveBlock, ...]
     headway: float
-    big_m: float
+
+    def __post_init__(self):
+        order = sorted(self.blocks, key=lambda b: (b.var_indices[0], b.other_id))
+        object.__setattr__(self, "blocks", tuple(order))
 
     @property
     def n_vars(self) -> int:
         # one entry time per zone plus the exit time
         return len(self.zone_ids) + 1
-
-    def to_json(self) -> dict:
-        return {
-            "vehicle_id": self.vehicle_id,
-            "zone_ids": list(self.zone_ids),
-            "t0": self.t0,
-            "windows": [[w.release, w.deadline] for w in self.windows],
-            "headway": self.headway,
-            "big_m": self.big_m,
-            "blocks": [
-                {
-                    "other_id": b.other_id,
-                    "var_indices": list(b.var_indices),
-                    "other_times": list(b.other_times),
-                    "fixed_order": b.fixed_order,
-                }
-                for b in self.blocks
-            ],
-        }
 
 
 @dataclass
@@ -192,6 +159,27 @@ def traversal_bounds(
     return tuple(out)
 
 
+def _run_ties(a: PathSpec, b: PathSpec):
+    """Tied time indices on paths a and b for each of their conflict runs.
+
+    Yields (indices on a, indices on b, fixed).  A merge or same-path run
+    also ties the boundary after its last zone: a shared lane admits no
+    overtaking through its far end.  A run anchored at both paths' first
+    zone (a shared entry approach) or on identical paths is fixed: the
+    later vehicle passes after the earlier one.
+    """
+    for run in conflict_runs(a, b):
+        ia = [a.index_of(z) for z in run.zones]
+        ib = [b.index_of(z) for z in run.zones]
+        if run.relation in ("merge", "same-path"):
+            ia.append(ia[-1] + 1)
+            ib.append(ib[-1] + 1)
+        fixed = run.relation == "same-path" or (
+            run.zones[0] == a.zone_ids[0] and run.zones[0] == b.zone_ids[0]
+        )
+        yield ia, ib, fixed
+
+
 def build_instance(
     vehicle_id: int,
     path: PathSpec,
@@ -202,91 +190,15 @@ def build_instance(
     v_merge: float,
     headway: float,
     exit_speed: float | None = None,
-) -> SchedulingInstance:
-    """Assemble the scheduling problem for one vehicle against committed ones.
-
-    Runs anchored at both vehicles' first zone mean a shared entry approach,
-    where overtaking is impossible, so their order is fixed to pass-after;
-    likewise identical paths.  All other merge and cross runs keep a free
-    before/after binary.
-    """
-    bounds = traversal_bounds(path, entry_speed, lim, v_merge, exit_speed)
-    conflicts: list[RunConstraint] = []
-    for sched, other_path in committed:
-        for run in conflict_runs(path, other_path):
-            fixed = run.relation == "same-path" or (
-                run.zones[0] == path.zone_ids[0] and run.zones[0] == other_path.zone_ids[0]
-            )
-            other_exit = None
-            if run.relation in ("merge", "same-path"):
-                other_exit = sched.times[other_path.index_of(run.zones[-1]) + 1]
-            conflicts.append(
-                RunConstraint(
-                    other_id=sched.vehicle_id,
-                    zones=run.zones,
-                    other_times=tuple(sched.time_at(z) for z in run.zones),
-                    relation=run.relation,
-                    order_fixed=fixed,
-                    other_exit=other_exit,
-                )
-            )
-    return SchedulingInstance(
-        vehicle_id=vehicle_id,
-        zone_ids=path.zone_ids,
-        t0=t0,
-        entry_speed=entry_speed,
-        bounds=bounds,
-        conflicts=tuple(conflicts),
-        headway=headway,
-    )
-
-
-def to_model(instance: SchedulingInstance, horizon: float | None = None) -> DisjunctiveModel:
-    """Emit the explicit disjunctive program (big-M form) for one instance.
-
-    big_m bounds every time the model can produce: the chain can defer at
-    most the sum of deadlines past t0, and separation can push past the last
-    committed time by one headway.
-    """
-    ddl_sum = 0.0
-    for b in instance.bounds:
-        if b.deadline is None:
-            if horizon is None:
-                raise HorizonRequired(
-                    "zone deadline is unbounded; configure a horizon to emit big-M data"
-                )
-            ddl_sum += horizon
-        else:
-            ddl_sum += b.deadline
-    big_m = instance.t0 + ddl_sum + instance.headway
-    zone_pos = {z: i for i, z in enumerate(instance.zone_ids)}
+) -> DisjunctiveModel:
+    """Assemble the scheduling model for one vehicle against committed ones."""
+    windows = traversal_bounds(path, entry_speed, lim, v_merge, exit_speed)
     blocks = []
-    for c in instance.conflicts:
-        var_indices = tuple(zone_pos[z] for z in c.zones)
-        other_times = c.other_times
-        if c.other_exit is not None:
-            # tie the boundary after a shared-lane stretch into the run
-            var_indices += (zone_pos[c.zones[-1]] + 1,)
-            other_times += (c.other_exit,)
-        blocks.append(
-            DisjunctiveBlock(
-                other_id=c.other_id,
-                var_indices=var_indices,
-                other_times=other_times,
-                fixed_order=0 if c.order_fixed else None,
-            )
-        )
-        big_m = max(big_m, max(other_times) + instance.headway + 1.0)
-    blocks.sort(key=lambda b: (b.var_indices[0], b.other_id))
-    return DisjunctiveModel(
-        vehicle_id=instance.vehicle_id,
-        zone_ids=instance.zone_ids,
-        t0=instance.t0,
-        windows=instance.bounds,
-        blocks=tuple(blocks),
-        headway=instance.headway,
-        big_m=big_m,
-    )
+    for sched, other_path in committed:
+        for mine, theirs, fixed in _run_ties(path, other_path):
+            other_times = tuple(sched.times[q] for q in theirs)
+            blocks.append(DisjunctiveBlock(sched.vehicle_id, tuple(mine), other_times, fixed))
+    return DisjunctiveModel(vehicle_id, path.zone_ids, t0, windows, tuple(blocks), headway)
 
 
 def _earliest_times(n_vars: int, edges: list[tuple[int, int, float]]) -> list[float] | None:
@@ -313,19 +225,24 @@ def _earliest_times(n_vars: int, edges: list[tuple[int, int, float]]) -> list[fl
     return None
 
 
-def _base_edges(model: DisjunctiveModel) -> list[tuple[int, int, float]]:
-    n = model.n_vars
-    origin = n
-    edges = [(origin, 0, model.t0), (0, origin, -model.t0)]
-    for k, w in enumerate(model.windows):
-        edges.append((k, k + 1, w.release))
+def _chain_edges(
+    off: int, origin: int, t0: float, windows: tuple[ZoneBounds, ...]
+) -> list[tuple[int, int, float]]:
+    """One vehicle's chain with its times at off..: t0 pin, releases, deadlines."""
+    edges = [(origin, off, t0), (off, origin, -t0)]
+    for k, w in enumerate(windows):
+        edges.append((off + k, off + k + 1, w.release))
         if w.deadline is not None:
-            edges.append((k + 1, k, -w.deadline))
-    h = model.headway
+            edges.append((off + k + 1, off + k, -w.deadline))
+    return edges
+
+
+def _base_edges(model: DisjunctiveModel) -> list[tuple[int, int, float]]:
+    origin = model.n_vars
+    edges = _chain_edges(0, origin, model.t0, model.windows)
     for b in model.blocks:
-        if b.fixed_order == 0:
-            for q, c in zip(b.var_indices, b.other_times):
-                edges.append((origin, q, c + h))
+        if b.fixed:
+            edges += _block_edges(b, 0, model.headway, origin)
     return edges
 
 
@@ -355,7 +272,7 @@ def solve(model: DisjunctiveModel) -> tuple[ScheduleTuple, SolveStats]:
     """
     t_start = time.perf_counter()
     base = _base_edges(model)
-    free = [b for b in model.blocks if b.fixed_order is None]
+    free = [b for b in model.blocks if not b.fixed]
     stats = SolveStats(free_runs=len(free))
     h = model.headway
     origin = model.n_vars
@@ -400,15 +317,11 @@ def solve_fifo(model: DisjunctiveModel) -> tuple[ScheduleTuple, SolveStats]:
     """First-in-first-out policy: yield to every committed conflict."""
     t_start = time.perf_counter()
     edges = _base_edges(model)
-    h = model.headway
-    origin = model.n_vars
-    free = 0
-    for b in model.blocks:
-        if b.fixed_order is None:
-            free += 1
-            edges.extend(_block_edges(b, 0, h, origin))
+    free = [b for b in model.blocks if not b.fixed]
+    for b in free:
+        edges += _block_edges(b, 0, model.headway, model.n_vars)
     times = _earliest_times(model.n_vars, edges)
-    stats = SolveStats(nodes=1, candidates=1 if times else 0, free_runs=free)
+    stats = SolveStats(nodes=1, candidates=1 if times else 0, free_runs=len(free))
     stats.wall_ms = (time.perf_counter() - t_start) * 1e3
     if times is None:
         raise Infeasible(f"vehicle {model.vehicle_id}: FIFO schedule infeasible")
@@ -421,7 +334,7 @@ def enumerate_exact(model: DisjunctiveModel) -> tuple[ScheduleTuple | None, int]
     Exponential in the number of free runs; used to certify the
     branch-and-bound.  Returns (best schedule or None, leaves solved).
     """
-    free = [b for b in model.blocks if b.fixed_order is None]
+    free = [b for b in model.blocks if not b.fixed]
     base = _base_edges(model)
     h = model.headway
     origin = model.n_vars
@@ -453,31 +366,6 @@ class CentralizedEntry:
     path: PathSpec
     t0: float
     windows: tuple[ZoneBounds, ...]
-
-
-class _JointRuns:
-    """Flat arrays describing every free pair run for vectorized checks."""
-
-    def __init__(self):
-        self.vi: list[int] = []
-        self.vj: list[int] = []
-        self.starts: list[int] = []
-        self.sizes: list[int] = []
-
-    def add(self, vi: list[int], vj: list[int]):
-        self.starts.append(len(self.vi))
-        self.sizes.append(len(vi))
-        self.vi.extend(vi)
-        self.vj.extend(vj)
-
-    def freeze(self):
-        self.vi = np.asarray(self.vi, dtype=np.int64)
-        self.vj = np.asarray(self.vj, dtype=np.int64)
-        self.starts = np.asarray(self.starts, dtype=np.int64)
-        self.sizes = np.asarray(self.sizes, dtype=np.int64)
-
-    def __len__(self):
-        return len(self.starts)
 
 
 def solve_centralized(
@@ -515,42 +403,29 @@ def solve_centralized(
     exit_idx = np.asarray([offsets[k] + len(entries[k].path.zone_ids) for k in range(n_veh)])
 
     adj: list[list[tuple[int, float]]] = [[] for _ in range(n_nodes)]
-
-    def add_edge(u: int, v: int, w: float):
-        adj[u].append((v, w))
-
     for k, e in enumerate(entries):
-        off = offsets[k]
-        add_edge(origin, off, e.t0)
-        add_edge(off, origin, -e.t0)
-        for i, wnd in enumerate(e.windows):
-            add_edge(off + i, off + i + 1, wnd.release)
-            if wnd.deadline is not None:
-                add_edge(off + i + 1, off + i, -wnd.deadline)
+        for u, v, w in _chain_edges(offsets[k], origin, e.t0, e.windows):
+            adj[u].append((v, w))
 
-    runs = _JointRuns()
+    free: list[tuple[list[int], list[int]]] = []
     h = headway
     for i in range(n_veh):
         for j in range(i + 1, n_veh):
-            pi, pj = entries[i].path, entries[j].path
-            for run in conflict_runs(pi, pj):
-                vi = [offsets[i] + pi.index_of(z) for z in run.zones]
-                vj = [offsets[j] + pj.index_of(z) for z in run.zones]
-                if run.relation in ("merge", "same-path"):
-                    # no overtaking through the end of a shared-lane stretch
-                    vi.append(offsets[i] + pi.index_of(run.zones[-1]) + 1)
-                    vj.append(offsets[j] + pj.index_of(run.zones[-1]) + 1)
-                fixed = run.relation == "same-path" or (
-                    run.zones[0] == pi.zone_ids[0] and run.zones[0] == pj.zone_ids[0]
-                )
+            for ti, tj, fixed in _run_ties(entries[i].path, entries[j].path):
+                vi = [offsets[i] + q for q in ti]
+                vj = [offsets[j] + q for q in tj]
                 if fixed:
                     # later queue entry yields on the shared lane
                     for a, b in zip(vi, vj):
-                        add_edge(a, b, h)
+                        adj[a].append((b, h))
                 else:
-                    runs.add(vi, vj)
-    runs.freeze()
-    stats.free_runs = len(runs)
+                    free.append((vi, vj))
+    stats.free_runs = len(free)
+    # every free run's ties in flat arrays, for the vectorized state check
+    run_vi = np.asarray([a for vi, _ in free for a in vi], dtype=np.int64)
+    run_vj = np.asarray([b for _, vj in free for b in vj], dtype=np.int64)
+    run_sizes = np.asarray([len(vi) for vi, _ in free], dtype=np.int64)
+    run_starts = np.cumsum(run_sizes) - run_sizes
 
     NEG = -math.inf
 
@@ -607,11 +482,11 @@ def solve_centralized(
 
     def run_states(dist: np.ndarray, decided: np.ndarray) -> int:
         """Index of the first undecided violated run, or -1 if none."""
-        if len(runs) == 0:
+        if not free:
             return -1
-        d = dist[runs.vj] - dist[runs.vi]
-        after = np.add.reduceat((d >= h_eps).astype(np.int8), runs.starts) == runs.sizes
-        before = np.add.reduceat((d <= -h_eps).astype(np.int8), runs.starts) == runs.sizes
+        d = dist[run_vj] - dist[run_vi]
+        after = np.add.reduceat((d >= h_eps).astype(np.int8), run_starts) == run_sizes
+        before = np.add.reduceat((d <= -h_eps).astype(np.int8), run_starts) == run_sizes
         viol = (~(after | before)) & (decided == 0)
         idx = np.flatnonzero(viol)
         return int(idx[0]) if idx.size else -1
@@ -627,7 +502,7 @@ def solve_centralized(
     # DFS stack: (dist snapshot, decided snapshot, per-node out-edge lists).
     # A child shares its parent's out lists except at the tails of its new
     # edges, which get fresh lists, so no entry ever mutates another's.
-    stack = [(root, np.zeros(len(runs), dtype=np.int8), adj)]
+    stack = [(root, np.zeros(len(free), dtype=np.int8), adj)]
     budget_hit = False
     while stack:
         dist, decided, out = stack.pop()
@@ -645,10 +520,7 @@ def solve_centralized(
             best_schedules = extract(dist)
             stats.candidates += 1
             continue
-        s = runs.starts[branch]
-        n = runs.sizes[branch]
-        vi = runs.vi[s : s + n].tolist()
-        vj = runs.vj[s : s + n].tolist()
+        vi, vj = free[branch]
         # push pass-before second so pass-after is explored first
         for order in (1, 0):
             if order == 0:

@@ -31,7 +31,6 @@ from .scheduler import (
     solve,
     solve_centralized,
     solve_fifo,
-    to_model,
 )
 from .trajectory import (
     ArcTable,
@@ -63,6 +62,10 @@ SCENARIO_PATHS = (
 
 class ConfigError(ValueError):
     """Configuration rejected before the run starts."""
+
+
+class UnsafeHeadway(ConfigError):
+    """The configured headway fails the spacing rule for some speed pair."""
 
 
 class SafetyViolation(RuntimeError):
@@ -104,6 +107,22 @@ def fuel_rate(v: float, u: float, model: FuelModel) -> float:
     return float(model.rate(np.asarray(v, dtype=float), np.asarray(u, dtype=float)))
 
 
+# JSON types of the scalar config fields: integers and strings are listed,
+# every other scalar is a number, and an optional one may also be null
+_INT_FIELDS = ("n_vehicles", "seed", "node_budget", "max_holds")
+_STR_FIELDS = ("arrival_mode", "policy")
+_OPTIONAL_FIELDS = ("horizon", "exit_speed")
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _check_numbers(name: str, values: tuple, n: int) -> None:
+    if len(values) != n or not all(_is_number(x) for x in values):
+        raise ConfigError(f"{name} must hold {n} numbers, got {list(values)!r}")
+
+
 @dataclass(frozen=True)
 class SimConfig:
     approach_length: float = 300.0
@@ -128,7 +147,7 @@ class SimConfig:
     policy: str = "decentralized"
     exit_speed: float | None = None
     fuel: FuelModel = field(default_factory=FuelModel)
-    scheduling_horizon: float = 600.0  # big-M horizon when deadlines are unbounded
+    scheduling_horizon: float = 600.0  # read by nothing; kept so old configs still load
     rear_end_dt: float = 0.01
     fuel_dt: float = 0.01
     trace_dt: float = 0.1
@@ -141,6 +160,22 @@ class SimConfig:
         return Limits(self.u_min, self.u_max, self.v_min, self.v_max)
 
     def validate(self) -> None:
+        for name in self.__dataclass_fields__:
+            if name in ("fuel", "paths", "entry_speed_range"):
+                continue
+            value = getattr(self, name)
+            if name in _INT_FIELDS:
+                ok, want = isinstance(value, int) and not isinstance(value, bool), "an integer"
+            elif name in _STR_FIELDS:
+                ok, want = isinstance(value, str), "a string"
+            else:
+                ok = _is_number(value) or (name in _OPTIONAL_FIELDS and value is None)
+                want = "a number"
+            if not ok:
+                raise ConfigError(f"{name} must be {want}, got {value!r}")
+        _check_numbers("entry_speed_range", self.entry_speed_range, 2)
+        _check_numbers("fuel cruise", self.fuel.cruise, 4)
+        _check_numbers("fuel accel", self.fuel.accel, 3)
         try:
             lim = self.limits()
         except ValueError as e:
@@ -176,7 +211,7 @@ class SimConfig:
             speeds.append(self.exit_speed)
         v_lead, v_follow = min(speeds), max(speeds)
         if not headway_is_safe(self.headway, v_lead, v_follow, self.gamma, self.phi, lim.u_min):
-            raise ConfigError(
+            raise UnsafeHeadway(
                 f"unsafe headway: h={self.headway} fails the spacing rule for "
                 f"leader at {v_lead} m/s and follower at {v_follow} m/s"
             )
@@ -205,15 +240,17 @@ class SimConfig:
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         kwargs = dict(data)
-        if "fuel" in kwargs:
-            try:
-                kwargs["fuel"] = FuelModel.from_json(kwargs["fuel"])
-            except (KeyError, TypeError) as e:
-                raise ConfigError(f"malformed fuel model: {e}") from e
-        if "paths" in kwargs:
-            kwargs["paths"] = tuple((str(a), str(b)) for a, b in kwargs["paths"])
-        if "entry_speed_range" in kwargs:
-            kwargs["entry_speed_range"] = tuple(kwargs["entry_speed_range"])
+
+        def convert(name, fn):
+            if name in kwargs:
+                try:
+                    kwargs[name] = fn(kwargs[name])
+                except (KeyError, TypeError, ValueError) as e:
+                    raise ConfigError(f"malformed {name}: {e}") from None
+
+        convert("fuel", FuelModel.from_json)
+        convert("paths", lambda paths: tuple((str(a), str(b)) for a, b in paths))
+        convert("entry_speed_range", tuple)
         try:
             return cls(**kwargs)
         except TypeError as e:
@@ -406,14 +443,12 @@ def _schedule_once(
     config: SimConfig,
     fifo: bool,
 ) -> tuple[ScheduleTuple, SolveStats, tuple[ZoneBounds, ...]]:
-    inst = build_instance(
+    model = build_instance(
         vehicle_id, path, t0, entry_speed, committed, config.limits(),
         v_boundary, config.headway, exit_speed=config.exit_speed,
     )
-    horizon = config.scheduling_horizon if any(b.deadline is None for b in inst.bounds) else None
-    model = to_model(inst, horizon=horizon)
     sched, stats = (solve_fifo if fifo else solve)(model)
-    return sched, stats, inst.bounds
+    return sched, stats, model.windows
 
 
 def _fallback_speeds(config: SimConfig) -> list[float]:

@@ -22,13 +22,12 @@ from corridor.kinematics import (
 )
 from corridor.network import conflict_runs
 from corridor.scheduler import (
+    DisjunctiveBlock,
+    DisjunctiveModel,
     Infeasible,
-    RunConstraint,
-    SchedulingInstance,
     ZoneBounds,
     enumerate_exact,
     solve,
-    to_model,
 )
 from corridor.sim import FuelModel, SimConfig, compare_policies, run
 from corridor.trajectory import PiecingDiverged, ZoneBVP, solve_unconstrained, solve_zone
@@ -109,33 +108,31 @@ def test_criterion_1_kinematics_oracle():
 # -- criterion 2: scheduler exactness ------------------------------------------
 
 
-def _random_instance(rng) -> SchedulingInstance:
+def _random_model(rng) -> DisjunctiveModel:
     n = int(rng.integers(2, 6))
     releases = rng.uniform(2.0, 10.0, n)
     deadlines = releases + rng.uniform(1.0, 25.0, n)
     zone_ids = tuple(int(z) for z in rng.choice(100, n, replace=False))
-    conflicts = []
+    blocks = []
     for other in range(int(rng.integers(0, 9))):
         run_len = int(rng.integers(1, n + 1))
         at = int(rng.integers(0, n - run_len + 1))
         base = float(rng.uniform(0.0, 45.0))
         gaps = np.cumsum(rng.uniform(1.0, 8.0, run_len))
-        conflicts.append(
-            RunConstraint(
+        blocks.append(
+            DisjunctiveBlock(
                 other_id=100 + other,
-                zones=zone_ids[at : at + run_len],
+                var_indices=tuple(range(at, at + run_len)),
                 other_times=tuple(float(base + g) for g in gaps),
-                relation="merge" if run_len > 1 else "cross",
-                order_fixed=bool(rng.random() < 0.25),
+                fixed=bool(rng.random() < 0.25),
             )
         )
-    return SchedulingInstance(
+    return DisjunctiveModel(
         vehicle_id=1,
         zone_ids=zone_ids,
         t0=float(rng.uniform(0.0, 5.0)),
-        entry_speed=15.0,
-        bounds=tuple(ZoneBounds(float(r), float(d)) for r, d in zip(releases, deadlines)),
-        conflicts=tuple(conflicts),
+        windows=tuple(ZoneBounds(float(r), float(d)) for r, d in zip(releases, deadlines)),
+        blocks=tuple(blocks),
         headway=H,
     )
 
@@ -151,7 +148,7 @@ def _slack_violation(model, times) -> float:
     for b in model.blocks:
         gaps_after = [t - (c + H) for t, c in zip((times[q] for q in b.var_indices), b.other_times)]
         gaps_before = [(c - H) - t for t, c in zip((times[q] for q in b.var_indices), b.other_times)]
-        if b.fixed_order == 0:
+        if b.fixed:
             worst = max(worst, -min(gaps_after))
         else:
             worst = max(worst, min(-min(gaps_after), -min(gaps_before)))
@@ -165,8 +162,8 @@ def test_criterion_2_scheduler_exactness():
     worst_gap = worst_slack = 0.0
     max_free = 0
     for _ in range(1_000):
-        model = to_model(_random_instance(rng))
-        free = sum(1 for b in model.blocks if b.fixed_order is None)
+        model = _random_model(rng)
+        free = sum(1 for b in model.blocks if not b.fixed)
         assert free <= 12
         max_free = max(max_free, free)
         ref, _ = enumerate_exact(model)

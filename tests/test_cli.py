@@ -109,6 +109,36 @@ def test_non_object_config_exits_2_without_artifacts(tmp_path, cfg_file, capsys,
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"n_vehicles": "30", "arrival_mode": "poisson"},
+        {"headway": "1.5"},
+        {"headway": True},
+        {"node_budget": "x", "policy": "centralized"},
+        {"max_holds": "a"},
+        {"entry_speed_range": [13]},
+        {"paths": [["EB"]]},
+        {"fuel": {"cruise": [0.1569, 0.0245], "accel": [0.07224, 0.09681, 0.001075]}},
+    ],
+)
+def test_mistyped_config_exits_2_without_artifacts(tmp_path, cfg_file, capsys, data):
+    cfg = cfg_file("cfg.json", data)
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_scheduling_horizon_loads_and_is_echoed(tmp_path, cfg_file):
+    cfg = cfg_file("cfg.json", {**POISSON_CFG, "scheduling_horizon": 900})
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    metrics = json.loads((out / "metrics.json").read_text())
+    assert metrics["config"]["scheduling_horizon"] == 900
+
+
 def test_unknown_policy_is_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--out", str(tmp_path / "out"), "--policy", "greedy"])

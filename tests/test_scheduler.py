@@ -5,6 +5,7 @@ over every before/after assignment, run through an independent longest-path
 oracle written here.
 """
 
+import dataclasses
 import hashlib
 import math
 
@@ -15,19 +16,16 @@ from corridor.kinematics import Limits
 from corridor.network import build_network, conflict_runs
 from corridor.scheduler import (
     CentralizedEntry,
+    DisjunctiveBlock,
     DisjunctiveModel,
-    HorizonRequired,
     Infeasible,
-    RunConstraint,
     ScheduleTuple,
-    SchedulingInstance,
     ZoneBounds,
     build_instance,
     enumerate_exact,
     solve,
     solve_centralized,
     solve_fifo,
-    to_model,
     traversal_bounds,
 )
 from corridor.sim import SimConfig, run
@@ -53,7 +51,7 @@ def assert_feasible(model: DisjunctiveModel, times):
     for b in model.blocks:
         after = all(times[q] >= c + H - 1e-9 for q, c in zip(b.var_indices, b.other_times))
         before = all(times[q] <= c - H + 1e-9 for q, c in zip(b.var_indices, b.other_times))
-        if b.fixed_order == 0:
+        if b.fixed:
             assert after
         else:
             assert after or before
@@ -69,7 +67,7 @@ def chain_times(path, t0, entry_speed):
 
 def test_unconflicted_chain_is_cumulative_release():
     inst = build_instance(1, EB, 10.0, 15.0, [], LIM, V_MERGE, H)
-    sched, stats = solve(to_model(inst))
+    sched, stats = solve(inst)
     expected = chain_times(EB, 10.0, 15.0)
     assert sched.zone_ids == EB.zone_ids
     np.testing.assert_allclose(sched.times, expected, atol=1e-9)
@@ -79,20 +77,20 @@ def test_unconflicted_chain_is_cumulative_release():
 
 def test_same_path_follower_shifts_by_headway():
     lead_inst = build_instance(1, EB, 0.0, 15.0, [], LIM, V_MERGE, H)
-    lead, _ = solve(to_model(lead_inst))
+    lead, _ = solve(lead_inst)
     foll_inst = build_instance(2, EB, 1.5, 15.0, [(lead, EB)], LIM, V_MERGE, H)
-    foll, _ = solve(to_model(foll_inst))
+    foll, _ = solve(foll_inst)
     # identical speed profile: the follower rides exactly one headway behind
     np.testing.assert_allclose(foll.times, np.asarray(lead.times) + 1.5, atol=1e-9)
     # and the conflict is order-fixed, no binary spent on it
-    assert all(b.fixed_order == 0 for b in to_model(foll_inst).blocks)
+    assert all(b.fixed for b in foll_inst.blocks)
 
 
 def test_fast_follower_pinned_to_headway_recurrence():
     lead_inst = build_instance(1, EB, 0.0, 15.0, [], LIM, V_MERGE, H)
-    lead, _ = solve(to_model(lead_inst))
+    lead, _ = solve(lead_inst)
     inst = build_instance(2, EB, 1.6, 20.0, [(lead, EB)], LIM, V_MERGE, H)
-    sched, _ = solve(to_model(inst))
+    sched, _ = solve(inst)
     bounds = traversal_bounds(EB, 20.0, LIM, V_MERGE)
     expected = [1.6]
     for k, b in enumerate(bounds):
@@ -102,18 +100,17 @@ def test_fast_follower_pinned_to_headway_recurrence():
 
 def test_same_origin_gap_below_headway_is_infeasible():
     lead_inst = build_instance(1, EB, 0.0, 15.0, [], LIM, V_MERGE, H)
-    lead, _ = solve(to_model(lead_inst))
+    lead, _ = solve(lead_inst)
     inst = build_instance(2, EB, 1.0, 15.0, [(lead, EB)], LIM, V_MERGE, H)
     with pytest.raises(Infeasible):
-        solve(to_model(inst))
+        solve(inst)
 
 
 def test_cross_conflict_prefers_free_slot_over_fifo():
     lead_inst = build_instance(1, EB, 0.0, 15.0, [], LIM, V_MERGE, H)
-    lead, _ = solve(to_model(lead_inst))
-    inst = build_instance(2, SB2, 0.0, 15.0, [(lead, EB)], LIM, V_MERGE, H)
-    model = to_model(inst)
-    assert [b.fixed_order for b in model.blocks] == [None]
+    lead, _ = solve(lead_inst)
+    model = build_instance(2, SB2, 0.0, 15.0, [(lead, EB)], LIM, V_MERGE, H)
+    assert [b.fixed for b in model.blocks] == [False]
     opt, stats = solve(model)
     fifo, _ = solve_fifo(model)
     free = chain_times(SB2, 0.0, 15.0)
@@ -127,12 +124,11 @@ def test_cross_conflict_prefers_free_slot_over_fifo():
 
 def test_merge_run_ties_zones_to_one_side():
     lead_inst = build_instance(1, EB, 0.0, 15.0, [], LIM, V_MERGE, H)
-    lead, _ = solve(to_model(lead_inst))
+    lead, _ = solve(lead_inst)
     # NB1 right-through merges into EB's lane for the rest of the corridor
     runs = conflict_runs(NB1_RT, EB)
     assert [r.relation for r in runs] == ["merge"]
-    inst = build_instance(2, NB1_RT, 0.2, 15.0, [(lead, EB)], LIM, V_MERGE, H)
-    model = to_model(inst)
+    model = build_instance(2, NB1_RT, 0.2, 15.0, [(lead, EB)], LIM, V_MERGE, H)
     sched, _ = solve(model)
     assert_feasible(model, sched.times)
     run = model.blocks[0]
@@ -140,14 +136,10 @@ def test_merge_run_ties_zones_to_one_side():
     assert all(x >= H - 1e-9 for x in d) or all(x <= -H + 1e-9 for x in d)
 
 
-def test_horizon_required_when_deadline_unbounded():
+def test_unbounded_deadline_solves_to_release_chain():
     lim0 = Limits(-1.0, 1.0, 0.0, 25.0)
-    inst = build_instance(1, EB, 0.0, 15.0, [], lim0, V_MERGE, H)
-    assert any(b.deadline is None for b in inst.bounds)
-    with pytest.raises(HorizonRequired):
-        to_model(inst)
-    model = to_model(inst, horizon=600.0)
-    assert math.isfinite(model.big_m)
+    model = build_instance(1, EB, 0.0, 15.0, [], lim0, V_MERGE, H)
+    assert any(w.deadline is None for w in model.windows)
     sched, _ = solve(model)
     np.testing.assert_allclose(sched.times, chain_times(EB, 0.0, 15.0), atol=1e-9)
 
@@ -157,39 +149,33 @@ def test_schedule_tuple_json_roundtrip():
     assert ScheduleTuple.from_json(s.to_json()) == s
     with pytest.raises(ValueError):
         ScheduleTuple(7, (10, 3), (1.0, 2.0))
-    model = to_model(build_instance(1, SB2, 0.0, 14.0, [], LIM, V_MERGE, H))
-    data = model.to_json()
-    assert data["zone_ids"] == list(SB2.zone_ids)
-    assert len(data["windows"]) == len(SB2.zone_ids)
 
 
-def _random_instance(rng) -> SchedulingInstance:
+def _random_model(rng) -> DisjunctiveModel:
     n = int(rng.integers(2, 6))
     releases = rng.uniform(2.0, 10.0, n)
     deadlines = releases + rng.uniform(1.0, 25.0, n)
     zone_ids = tuple(int(z) for z in rng.choice(100, n, replace=False))
-    conflicts = []
+    blocks = []
     for other in range(int(rng.integers(0, 5))):
         run_len = int(rng.integers(1, n + 1))
         start = int(rng.integers(0, n - run_len + 1))
         base = float(rng.uniform(0.0, 45.0))
         gaps = np.cumsum(rng.uniform(1.0, 8.0, run_len))
-        conflicts.append(
-            RunConstraint(
+        blocks.append(
+            DisjunctiveBlock(
                 other_id=100 + other,
-                zones=zone_ids[start : start + run_len],
+                var_indices=tuple(range(start, start + run_len)),
                 other_times=tuple(float(base + g) for g in gaps),
-                relation="merge" if run_len > 1 else "cross",
-                order_fixed=bool(rng.random() < 0.25),
+                fixed=bool(rng.random() < 0.25),
             )
         )
-    return SchedulingInstance(
+    return DisjunctiveModel(
         vehicle_id=1,
         zone_ids=zone_ids,
         t0=float(rng.uniform(0.0, 5.0)),
-        entry_speed=15.0,
-        bounds=tuple(ZoneBounds(float(r), float(d)) for r, d in zip(releases, deadlines)),
-        conflicts=tuple(conflicts),
+        windows=tuple(ZoneBounds(float(r), float(d)) for r, d in zip(releases, deadlines)),
+        blocks=tuple(blocks),
         headway=H,
     )
 
@@ -199,7 +185,7 @@ def test_solve_matches_enumeration(seed):
     rng = np.random.default_rng(seed)
     solved = 0
     for _ in range(60):
-        model = to_model(_random_instance(rng))
+        model = _random_model(rng)
         ref, _leaves = enumerate_exact(model)
         if ref is None:
             with pytest.raises(Infeasible):
@@ -231,8 +217,7 @@ def test_sequential_pipeline_against_enumeration():
         path = paths[int(rng.integers(0, len(paths)))]
         t0 += float(rng.uniform(1.6, 4.0))
         speed = float(rng.uniform(13.0, 16.0))
-        inst = build_instance(vid, path, t0, speed, committed, LIM, V_MERGE, H)
-        model = to_model(inst)
+        model = build_instance(vid, path, t0, speed, committed, LIM, V_MERGE, H)
         sched, _ = solve(model)
         ref, _ = enumerate_exact(model)
         assert abs(sched.exit_time - ref.exit_time) <= 1e-9
@@ -363,18 +348,12 @@ def test_centralized_never_worse_than_sequential_seed():
         committed = []
         seed_scheds = {}
         for e in entries:
-            inst = SchedulingInstance(
-                vehicle_id=e.vehicle_id,
-                zone_ids=e.path.zone_ids,
-                t0=e.t0,
-                entry_speed=15.0,
-                bounds=e.windows,
-                conflicts=build_instance(
-                    e.vehicle_id, e.path, e.t0, 15.0, committed, LIM, V_MERGE, H
-                ).conflicts,
-                headway=H,
+            # the seed's conflicts, under the entry's own windows
+            inst = dataclasses.replace(
+                build_instance(e.vehicle_id, e.path, e.t0, 15.0, committed, LIM, V_MERGE, H),
+                windows=e.windows,
             )
-            sched, _ = solve(to_model(inst))
+            sched, _ = solve(inst)
             committed.append((sched, e.path))
             seed_scheds[e.vehicle_id] = sched
         seq_obj = sum(s.exit_time for s in seed_scheds.values())
@@ -390,7 +369,7 @@ def test_centralized_budget_returns_seed():
     seed_scheds = {}
     for e in entries:
         inst = build_instance(e.vehicle_id, e.path, e.t0, 15.0, committed, LIM, V_MERGE, H)
-        sched, _ = solve(to_model(inst))
+        sched, _ = solve(inst)
         committed.append((sched, e.path))
         seed_scheds[e.vehicle_id] = sched
     scheds, stats = solve_centralized(entries, H, node_budget=0, seed_schedules=seed_scheds)
@@ -438,3 +417,21 @@ def test_centralized_search_on_poisson_cell_is_pinned(budget, candidates, digest
     for e in entries:
         sha.update(" ".join(float.hex(x) for x in scheds[e.vehicle_id].times).encode() + b"\n")
     assert sha.hexdigest() == digest
+
+
+def test_per_vehicle_pipeline_on_poisson_cell_is_pinned():
+    """The decentralized pass on Poisson cell (30,2), one model and one
+    solve per vehicle.  Every schedule time (as float.hex) and the summed
+    free runs, nodes and candidates are pinned, so a change to which runs
+    are fixed, which boundaries they tie, or the chain arithmetic shows
+    here."""
+    records = run(SimConfig(arrival_mode="poisson", n_vehicles=30, seed=2)).records
+    sha = hashlib.sha256()
+    for r in records:
+        sha.update(" ".join(float.hex(x) for x in r.schedule.times).encode() + b"\n")
+    assert (
+        sum(r.stats.free_runs for r in records),
+        sum(r.stats.nodes for r in records),
+        sum(r.stats.candidates for r in records),
+    ) == (215, 78, 30)
+    assert sha.hexdigest() == "c9eec41b8e62edfcc65d1d67ef0cba793d1f4b23c6696ea9cc7cff019dccf520"
