@@ -24,6 +24,14 @@ conflict runs into ties by the same rule, _run_ties: a shared-lane run also
 ties the boundary after it, and a run on a shared entry approach or on
 identical paths is fixed to "pass after", because overtaking is impossible
 there.
+
+One core serves every solver: _propagate updates longest paths in place
+(SPFA) as edges join the graph, and _search is the one depth-first
+branch-and-bound over runs.  solve searches one vehicle's graph, solve_fifo
+relaxes it once with every free run set to pass-after, and
+solve_centralized searches the joint graph.  enumerate_exact, the reference
+oracle, keeps its own Bellman-Ford (_earliest_times) apart from the search
+it certifies.
 """
 
 from __future__ import annotations
@@ -225,6 +233,124 @@ def _earliest_times(n_vars: int, edges: list[tuple[int, int, float]]) -> list[fl
     return None
 
 
+def _propagate(
+    dist: list[float],
+    new_edges: list[tuple[int, int, float]],
+    out: list[list[tuple[int, float]]],
+) -> bool:
+    """SPFA longest-path update of dist after new_edges join the graph.
+
+    out[u] holds every edge leaving u: the base edges, then the decided
+    run edges in decision order.  False on a positive cycle.
+    """
+    n_nodes = len(dist)
+    q = deque()
+    pop, push = q.popleft, q.append
+    inq = bytearray(n_nodes)
+    counts = [0] * n_nodes
+    for u, v, w in new_edges:
+        du = dist[u]
+        if du != -math.inf and du + w > dist[v] + 1e-12:
+            dist[v] = du + w
+            if not inq[v]:
+                push(v)
+                inq[v] = 1
+    while q:
+        u = pop()
+        inq[u] = 0
+        du = dist[u]
+        for v, w in out[u]:
+            dv = du + w
+            if dv > dist[v] + 1e-12:
+                dist[v] = dv
+                counts[v] += 1
+                if counts[v] > n_nodes:
+                    return False
+                if not inq[v]:
+                    push(v)
+                    inq[v] = 1
+    return True
+
+
+def _search(
+    n_nodes: int,
+    edges: list[tuple[int, int, float]],
+    runs: list[tuple[list[tuple[int, int, float]], list[tuple[int, int, float]]]],
+    exit_idx: list[int],
+    best_obj: float,
+    tol: float,
+    node_budget: float = math.inf,
+) -> tuple[list[float] | None, SolveStats]:
+    """Branch-and-bound over runs from the longest paths of edges.
+
+    The origin is the last node.  A run is (pass-after edges, pass-before
+    edges) and is clear when every edge of one side holds within _EPS.  A
+    node branches on its first undecided unclear run, pass-after explored
+    first, or is a candidate if every run is clear.  A node whose objective
+    (the sum of its times at exit_idx) is not below best_obj by more than
+    tol is pruned, so ties never replace the incumbent.  Children closing a
+    positive cycle count as nodes.  Returns the best candidate's times, None
+    if none beat best_obj, and the counts; optimal is False if the node
+    budget ran out.
+    """
+    stats = SolveStats(free_runs=len(runs))
+    out: list[list[tuple[int, float]]] = [[] for _ in range(n_nodes)]
+    for u, v, w in edges:
+        out[u].append((v, w))
+    root = [-math.inf] * n_nodes
+    root[-1] = 0.0
+    if not _propagate(root, [(n_nodes - 1, v, w) for v, w in out[-1]], out):
+        stats.nodes = 1
+        return None, stats
+    exit_idx = np.asarray(exit_idx)
+    # row 0 holds every run's pass-after edges, row 1 its pass-before ones;
+    # both sides of a run hold one edge per tie, so the rows align
+    cols = np.array([[e for run in runs for e in run[side]] for side in (0, 1)]).reshape(2, -1, 3)
+    src, dst = cols[..., 0].astype(np.intp), cols[..., 1].astype(np.intp)
+    thr = cols[..., 2] - _EPS
+    starts = np.cumsum([0] + [len(run[0]) for run in runs[:-1]])
+    n_runs = len(runs)
+    best = None
+    # DFS stack: (dist snapshot, decided mask, per-node out-edge lists).
+    # A child shares its parent's out lists except at the tails of its new
+    # edges, which get fresh lists, so no entry ever mutates another's.
+    stack = [(root, np.zeros(n_runs, dtype=bool), out)]
+    while stack:
+        dist, decided, out = stack.pop()
+        stats.nodes += 1
+        if stats.nodes > node_budget:
+            stats.optimal = False
+            break
+        d = np.array(dist)
+        obj = float(np.add.reduce(d[exit_idx]))
+        if obj >= best_obj - tol:
+            continue
+        branch = -1
+        if n_runs:
+            after, before = np.logical_and.reduceat(d[dst] - d[src] >= thr, starts, axis=1)
+            settled = after | before | decided
+            branch = int(settled.argmin())
+            if settled[branch]:
+                branch = -1
+        if branch < 0:
+            best, best_obj = dist, obj
+            stats.candidates += 1
+            continue
+        # push pass-before first so pass-after is explored first
+        for new_edges in reversed(runs[branch]):
+            child = dist.copy()
+            child_out = out.copy()
+            for u, v, w in new_edges:
+                child_out[u] = child_out[u] + [(v, w)]
+            if not _propagate(child, new_edges, child_out):
+                stats.nodes += 1
+                continue
+            child_decided = decided.copy()
+            child_decided[branch] = True
+            stack.append((child, child_decided, child_out))
+    return best, stats
+
+
 def _chain_edges(
     off: int, origin: int, t0: float, windows: tuple[ZoneBounds, ...]
 ) -> list[tuple[int, int, float]]:
@@ -237,29 +363,20 @@ def _chain_edges(
     return edges
 
 
-def _base_edges(model: DisjunctiveModel) -> list[tuple[int, int, float]]:
-    origin = model.n_vars
+def _model_graph(model: DisjunctiveModel):
+    """A vehicle's chain plus pass-after on every fixed block, and one run
+    (pass after the committed vehicle, pass before it) per free block."""
+    origin, h = model.n_vars, model.headway
     edges = _chain_edges(0, origin, model.t0, model.windows)
+    runs = []
     for b in model.blocks:
+        ties = list(zip(b.var_indices, b.other_times))
+        after = [(origin, q, c + h) for q, c in ties]
         if b.fixed:
-            edges += _block_edges(b, 0, model.headway, origin)
-    return edges
-
-
-def _block_edges(block: DisjunctiveBlock, order: int, h: float, origin: int):
-    if order == 0:  # pass after the committed vehicle everywhere on the run
-        return [(origin, q, c + h) for q, c in zip(block.var_indices, block.other_times)]
-    # pass before it everywhere on the run
-    return [(q, origin, h - c) for q, c in zip(block.var_indices, block.other_times)]
-
-
-def _block_state(times: list[float], block: DisjunctiveBlock, h: float) -> int:
-    """+1 if the times clear the run on the after side, -1 before, 0 violated."""
-    after = all(times[q] >= c + h - _EPS for q, c in zip(block.var_indices, block.other_times))
-    if after:
-        return 1
-    before = all(times[q] <= c - h + _EPS for q, c in zip(block.var_indices, block.other_times))
-    return -1 if before else 0
+            edges += after
+        else:
+            runs.append((after, [(q, origin, h - c) for q, c in ties]))
+    return edges, runs
 
 
 def solve(model: DisjunctiveModel) -> tuple[ScheduleTuple, SolveStats]:
@@ -271,61 +388,27 @@ def solve(model: DisjunctiveModel) -> tuple[ScheduleTuple, SolveStats]:
     first, and ties never replace an incumbent.
     """
     t_start = time.perf_counter()
-    base = _base_edges(model)
-    free = [b for b in model.blocks if not b.fixed]
-    stats = SolveStats(free_runs=len(free))
-    h = model.headway
-    origin = model.n_vars
-    best: list[float] | None = None
-    best_exit = math.inf
-
-    def visit(decided: dict[int, int]):
-        nonlocal best, best_exit
-        stats.nodes += 1
-        extra = []
-        for idx, order in decided.items():
-            extra.extend(_block_edges(free[idx], order, h, origin))
-        times = _earliest_times(model.n_vars, base + extra)
-        if times is None:
-            return
-        if times[-1] >= best_exit - 1e-12:
-            return
-        branch_idx = -1
-        for idx, block in enumerate(free):
-            if idx in decided:
-                continue
-            if _block_state(times, block, h) == 0:
-                branch_idx = idx
-                break
-        if branch_idx < 0:
-            best = times
-            best_exit = times[-1]
-            stats.candidates += 1
-            return
-        for order in (0, 1):
-            visit({**decided, branch_idx: order})
-
-    visit({})
+    n = model.n_vars
+    edges, runs = _model_graph(model)
+    best, stats = _search(n + 1, edges, runs, [n - 1], math.inf, 1e-12)
     stats.wall_ms = (time.perf_counter() - t_start) * 1e3
     if best is None:
         raise Infeasible(f"vehicle {model.vehicle_id}: no schedule satisfies the constraints")
-    sched = ScheduleTuple(model.vehicle_id, model.zone_ids, tuple(best))
-    return sched, stats
+    return ScheduleTuple(model.vehicle_id, model.zone_ids, tuple(best[:n])), stats
 
 
 def solve_fifo(model: DisjunctiveModel) -> tuple[ScheduleTuple, SolveStats]:
     """First-in-first-out policy: yield to every committed conflict."""
     t_start = time.perf_counter()
-    edges = _base_edges(model)
-    free = [b for b in model.blocks if not b.fixed]
-    for b in free:
-        edges += _block_edges(b, 0, model.headway, model.n_vars)
-    times = _earliest_times(model.n_vars, edges)
-    stats = SolveStats(nodes=1, candidates=1 if times else 0, free_runs=len(free))
+    n = model.n_vars
+    edges, runs = _model_graph(model)
+    every_after = edges + [e for after, _ in runs for e in after]
+    times, stats = _search(n + 1, every_after, [], [n - 1], math.inf, 1e-12)
+    stats.free_runs = len(runs)
     stats.wall_ms = (time.perf_counter() - t_start) * 1e3
     if times is None:
         raise Infeasible(f"vehicle {model.vehicle_id}: FIFO schedule infeasible")
-    return ScheduleTuple(model.vehicle_id, model.zone_ids, tuple(times)), stats
+    return ScheduleTuple(model.vehicle_id, model.zone_ids, tuple(times[:n])), stats
 
 
 def enumerate_exact(model: DisjunctiveModel) -> tuple[ScheduleTuple | None, int]:
@@ -334,16 +417,13 @@ def enumerate_exact(model: DisjunctiveModel) -> tuple[ScheduleTuple | None, int]
     Exponential in the number of free runs; used to certify the
     branch-and-bound.  Returns (best schedule or None, leaves solved).
     """
-    free = [b for b in model.blocks if not b.fixed]
-    base = _base_edges(model)
-    h = model.headway
-    origin = model.n_vars
+    base, runs = _model_graph(model)
     best = None
     leaves = 0
-    for mask in range(1 << len(free)):
+    for mask in range(1 << len(runs)):
         edges = list(base)
-        for idx, block in enumerate(free):
-            edges.extend(_block_edges(block, (mask >> idx) & 1, h, origin))
+        for idx, run in enumerate(runs):
+            edges.extend(run[(mask >> idx) & 1])
         times = _earliest_times(model.n_vars, edges)
         leaves += 1
         if times is None:
@@ -387,159 +467,39 @@ def solve_centralized(
     are order-fixed to that sequence.
     """
     t_begin = time.perf_counter()
-    stats = SolveStats()
-    n_veh = len(entries)
     for a, b in zip(entries, entries[1:]):
         if b.t0 < a.t0 - _EPS:
             raise ValueError("entries must be sorted by queue order")
 
-    offsets = []
-    total = 0
+    offsets = [0]
     for e in entries:
-        offsets.append(total)
-        total += len(e.path.zone_ids) + 1
-    origin = total
-    n_nodes = total + 1
-    exit_idx = np.asarray([offsets[k] + len(entries[k].path.zone_ids) for k in range(n_veh)])
-
-    adj: list[list[tuple[int, float]]] = [[] for _ in range(n_nodes)]
-    for k, e in enumerate(entries):
-        for u, v, w in _chain_edges(offsets[k], origin, e.t0, e.windows):
-            adj[u].append((v, w))
-
-    free: list[tuple[list[int], list[int]]] = []
-    h = headway
-    for i in range(n_veh):
-        for j in range(i + 1, n_veh):
+        offsets.append(offsets[-1] + len(e.path.zone_ids) + 1)
+    origin = offsets.pop()
+    edges = []
+    for off, e in zip(offsets, entries):
+        edges += _chain_edges(off, origin, e.t0, e.windows)
+    runs = []
+    for i in range(len(entries)):
+        for j in range(i + 1, len(entries)):
             for ti, tj, fixed in _run_ties(entries[i].path, entries[j].path):
-                vi = [offsets[i] + q for q in ti]
-                vj = [offsets[j] + q for q in tj]
+                after = [(offsets[i] + a, offsets[j] + b, headway) for a, b in zip(ti, tj)]
                 if fixed:
-                    # later queue entry yields on the shared lane
-                    for a, b in zip(vi, vj):
-                        adj[a].append((b, h))
+                    edges += after  # later queue entry yields on the shared lane
                 else:
-                    free.append((vi, vj))
-    stats.free_runs = len(free)
-    # every free run's ties in flat arrays, for the vectorized state check
-    run_vi = np.asarray([a for vi, _ in free for a in vi], dtype=np.int64)
-    run_vj = np.asarray([b for _, vj in free for b in vj], dtype=np.int64)
-    run_sizes = np.asarray([len(vi) for vi, _ in free], dtype=np.int64)
-    run_starts = np.cumsum(run_sizes) - run_sizes
-
-    NEG = -math.inf
-
-    def propagate(
-        dist: list[float],
-        new_edges: list[tuple[int, int, float]],
-        out: list[list[tuple[int, float]]],
-    ) -> bool:
-        """SPFA longest-path update of dist after new_edges join the graph.
-
-        out[u] holds every edge leaving u: the base edges, then the decided
-        run edges in decision order.  False on a positive cycle.
-        """
-        q = deque()
-        inq = bytearray(n_nodes)
-        counts = [0] * n_nodes
-        for u, v, w in new_edges:
-            du = dist[u]
-            if du != NEG and du + w > dist[v] + 1e-12:
-                dist[v] = du + w
-                if not inq[v]:
-                    q.append(v)
-                    inq[v] = 1
-        while q:
-            u = q.popleft()
-            inq[u] = 0
-            du = dist[u]
-            for v, w in out[u]:
-                if du + w > dist[v] + 1e-12:
-                    dist[v] = du + w
-                    counts[v] += 1
-                    if counts[v] > n_nodes:
-                        return False
-                    if not inq[v]:
-                        q.append(v)
-                        inq[v] = 1
-        return True
-
-    # root relaxation from scratch
-    root = [NEG] * n_nodes
-    root[origin] = 0.0
-    seeds = [(origin, v, w) for v, w in adj[origin]]
-    if not propagate(root, seeds, adj):
-        raise Infeasible("joint schedule infeasible under forced lane order")
+                    runs.append((after, [(b, a, w) for a, b, w in after]))
 
     # incumbent from the sequential schedules, if provided
     best_obj = math.inf
-    best_schedules: dict[int, ScheduleTuple] | None = None
     if seed_schedules is not None:
         best_obj = sum(seed_schedules[e.vehicle_id].exit_time for e in entries)
-        best_schedules = dict(seed_schedules)
-
-    h_eps = h - _EPS
-
-    def run_states(dist: np.ndarray, decided: np.ndarray) -> int:
-        """Index of the first undecided violated run, or -1 if none."""
-        if not free:
-            return -1
-        d = dist[run_vj] - dist[run_vi]
-        after = np.add.reduceat((d >= h_eps).astype(np.int8), run_starts) == run_sizes
-        before = np.add.reduceat((d <= -h_eps).astype(np.int8), run_starts) == run_sizes
-        viol = (~(after | before)) & (decided == 0)
-        idx = np.flatnonzero(viol)
-        return int(idx[0]) if idx.size else -1
-
-    def extract(dist: list[float]) -> dict[int, ScheduleTuple]:
-        scheds = {}
-        for k, e in enumerate(entries):
-            off = offsets[k]
-            times = tuple(dist[off : off + len(e.path.zone_ids) + 1])
-            scheds[e.vehicle_id] = ScheduleTuple(e.vehicle_id, e.path.zone_ids, times)
-        return scheds
-
-    # DFS stack: (dist snapshot, decided snapshot, per-node out-edge lists).
-    # A child shares its parent's out lists except at the tails of its new
-    # edges, which get fresh lists, so no entry ever mutates another's.
-    stack = [(root, np.zeros(len(free), dtype=np.int8), adj)]
-    budget_hit = False
-    while stack:
-        dist, decided, out = stack.pop()
-        stats.nodes += 1
-        if stats.nodes > node_budget:
-            budget_hit = True
-            break
-        dist_arr = np.array(dist)
-        obj = float(dist_arr[exit_idx].sum())
-        if obj >= best_obj - 1e-9:
-            continue
-        branch = run_states(dist_arr, decided)
-        if branch < 0:
-            best_obj = obj
-            best_schedules = extract(dist)
-            stats.candidates += 1
-            continue
-        vi, vj = free[branch]
-        # push pass-before second so pass-after is explored first
-        for order in (1, 0):
-            if order == 0:
-                new_edges = [(a, b, h) for a, b in zip(vi, vj)]
-            else:
-                new_edges = [(b, a, h) for a, b in zip(vi, vj)]
-            child = dist.copy()
-            child_out = out.copy()
-            for u, v, w in new_edges:
-                child_out[u] = child_out[u] + [(v, w)]
-            if not propagate(child, new_edges, child_out):
-                stats.nodes += 1
-                continue
-            child_decided = decided.copy()
-            child_decided[branch] = 1 if order == 0 else -1
-            stack.append((child, child_decided, child_out))
-
-    stats.optimal = not budget_hit
+    exit_idx = [off + len(e.path.zone_ids) for off, e in zip(offsets, entries)]
+    best, stats = _search(origin + 1, edges, runs, exit_idx, best_obj, 1e-9, node_budget)
     stats.wall_ms = (time.perf_counter() - t_begin) * 1e3
-    if best_schedules is None:
+    if best is not None:
+        return {
+            e.vehicle_id: ScheduleTuple(e.vehicle_id, e.path.zone_ids, tuple(best[off : last + 1]))
+            for e, off, last in zip(entries, offsets, exit_idx)
+        }, stats
+    if seed_schedules is None:
         raise Infeasible("no feasible joint schedule found")
-    return best_schedules, stats
+    return dict(seed_schedules), stats

@@ -115,12 +115,13 @@ _OPTIONAL_FIELDS = ("horizon", "exit_speed")
 
 
 def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    """A finite int or float; bool, NaN and the infinities are not."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and -math.inf < x < math.inf
 
 
 def _check_numbers(name: str, values: tuple, n: int) -> None:
     if len(values) != n or not all(_is_number(x) for x in values):
-        raise ConfigError(f"{name} must hold {n} numbers, got {list(values)!r}")
+        raise ConfigError(f"{name} must hold {n} finite numbers, got {list(values)!r}")
 
 
 @dataclass(frozen=True)
@@ -170,7 +171,7 @@ class SimConfig:
                 ok, want = isinstance(value, str), "a string"
             else:
                 ok = _is_number(value) or (name in _OPTIONAL_FIELDS and value is None)
-                want = "a number"
+                want = "a finite number"
             if not ok:
                 raise ConfigError(f"{name} must be {want}, got {value!r}")
         _check_numbers("entry_speed_range", self.entry_speed_range, 2)
@@ -204,6 +205,9 @@ class SimConfig:
         for name in ("rear_end_dt", "fuel_dt", "trace_dt", "hold_dt", "vmerge_step"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)!r}")
+        for name in ("node_budget", "max_holds"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must not be negative, got {getattr(self, name)!r}")
         # the headway must clear the rear-end rule for every configured
         # boundary speed pairing (slowest leader against fastest follower)
         speeds = [self.v_merge, lo, hi]
@@ -656,13 +660,16 @@ def enforce_rear_end(records: list[VehicleRecord], config: SimConfig) -> int:
             pairs.extend((z, lead, foll) for lead, foll in zip(ordered, ordered[1:]))
     for z, lead, foll in pairs:
         try:
-            if _repair_follower(foll, lead, z, config):
-                repairs += 1
+            repaired = _repair_follower(foll, lead, z, config)
         except (NoExitFound, InfeasibleBoundary) as e:
             raise SafetyViolation(
                 f"vehicle {foll.vehicle_id} cannot clear vehicle "
                 f"{lead.vehicle_id} in zone {z}: {e}"
             ) from e
+        if not repaired:
+            # _repair_follower just ran this same check on these trajectories
+            continue
+        repairs += 1
         k = foll.path.index_of(z)
         zt = foll.trajectory.zones[k]
         # a tracking arc rides the spacing rule as an equality and the

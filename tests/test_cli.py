@@ -5,6 +5,7 @@ for the artifact store.
 """
 
 import json
+import math
 import os
 
 import numpy as np
@@ -120,6 +121,13 @@ def test_non_object_config_exits_2_without_artifacts(tmp_path, cfg_file, capsys,
         {"entry_speed_range": [13]},
         {"paths": [["EB"]]},
         {"fuel": {"cruise": [0.1569, 0.0245], "accel": [0.07224, 0.09681, 0.001075]}},
+        {"headway": math.nan},
+        {"gamma": math.nan},
+        {"v_max": math.inf},
+        {"poisson_rate": math.inf, "arrival_mode": "poisson"},
+        {"fuel": {"cruise": [0.1569, 0.0245, -0.00071, math.inf], "accel": [0.07224, 0.09681, 0.001075]}},
+        {"node_budget": -5, "policy": "centralized", "arrival_mode": "poisson", "n_vehicles": 8},
+        {"max_holds": -1},
     ],
 )
 def test_mistyped_config_exits_2_without_artifacts(tmp_path, cfg_file, capsys, data):

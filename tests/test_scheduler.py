@@ -225,6 +225,23 @@ def test_sequential_pipeline_against_enumeration():
         committed.append((sched, path))
 
 
+def test_infeasible_children_count_as_nodes():
+    # the root branches on vehicle 7's run and its pass-after child on
+    # vehicle 8's; both pass-before children close a positive cycle (the
+    # release of 5 cannot fit under t1 <= 4 or t2 <= 10.5) and still count
+    model = DisjunctiveModel(
+        1,
+        (10, 11),
+        0.0,
+        (ZoneBounds(5, 20),) * 2,
+        (DisjunctiveBlock(7, (1,), (5.5,), False), DisjunctiveBlock(8, (2,), (12.0,), False)),
+        1.5,
+    )
+    sched, stats = solve(model)
+    assert (stats.nodes, stats.candidates, stats.free_runs) == (5, 1, 2)
+    assert sched.times == (0.0, 7.0, 13.5)
+
+
 # ---------------------------------------------------------------------------
 # centralized
 # ---------------------------------------------------------------------------
