@@ -2,10 +2,11 @@
 
 Exit codes: 0 on success, 2 on a malformed config or usage error, 3 when the
 configured headway fails the spacing rule, 1 on runtime failures (safety
-violation, saturation, refused overwrite).  All emitted CSV numbers carry 9
-significant digits so regression diffs stay meaningful; given the same
-config and seed every artifact is byte-identical, except the wall-clock
-solver timings inside metrics.json.
+violation, saturation, refused overwrite, an infeasible schedule, a zone
+solve that diverged, a follower with no clean exit).  All emitted CSV
+numbers carry 9 significant digits so regression diffs stay meaningful;
+given the same config and seed every artifact is byte-identical, except the
+wall-clock solver timings inside metrics.json.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from .sim import (
     trajectory_csv_rows,
 )
 from .sim import run as run_sim
-from .trajectory import PiecingDiverged, ZoneBVP, solve_zone
+from .trajectory import NoExitFound, PiecingDiverged, ZoneBVP, solve_zone
 
 DEFAULT_VOLUMES = (400.0, 600.0, 800.0, 1000.0, 1200.0)
 
@@ -492,7 +493,7 @@ def main(argv=None) -> int:
     except FileExistsError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (SafetyViolation, Saturated) as e:
+    except (SafetyViolation, Saturated, Infeasible, PiecingDiverged, NoExitFound) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -32,6 +32,11 @@ relaxes it once with every free run set to pass-after, and
 solve_centralized searches the joint graph.  enumerate_exact, the reference
 oracle, keeps its own Bellman-Ford (_earliest_times) apart from the search
 it certifies.
+
+A decision that closes a positive cycle is proven infeasible from the
+relaxation's parent pointers: a parent walk that leads back to a raised
+new-edge tail (Cherkassky & Goldberg, Math. Prog. 1999), with a per-node
+relaxation count as the backstop.
 """
 
 from __future__ import annotations
@@ -242,16 +247,28 @@ def _propagate(
 
     out[u] holds every edge leaving u: the base edges, then the decided
     run edges in decision order.  False on a positive cycle.
+
+    Each relaxation records the node's parent.  dist had no positive cycle
+    before the call, so a new one passes through a new edge; whenever the
+    tail v of a new edge is raised from u, the parent walk from u is
+    checked for v.  A cycle among parents set by strict relaxations has
+    positive weight, so reaching v proves one.  The walk only reads, so
+    the relaxation order (and every dist that returns True) is as without
+    it.  A node relaxed more than n_nodes times is the backstop, for cycles
+    that avoid the new edges (the root call's, say).
     """
     n_nodes = len(dist)
     q = deque()
     pop, push = q.popleft, q.append
     inq = bytearray(n_nodes)
     counts = [0] * n_nodes
+    parent = [-1] * n_nodes
+    tails = {u for u, _, _ in new_edges}
     for u, v, w in new_edges:
         du = dist[u]
         if du != -math.inf and du + w > dist[v] + 1e-12:
             dist[v] = du + w
+            parent[v] = u
             if not inq[v]:
                 push(v)
                 inq[v] = 1
@@ -263,9 +280,18 @@ def _propagate(
             dv = du + w
             if dv > dist[v] + 1e-12:
                 dist[v] = dv
+                parent[v] = u
                 counts[v] += 1
                 if counts[v] > n_nodes:
                     return False
+                if v in tails:
+                    x = u
+                    for _ in range(n_nodes):
+                        if x == v:
+                            return False
+                        x = parent[x]
+                        if x < 0:
+                            break
                 if not inq[v]:
                     push(v)
                     inq[v] = 1
@@ -278,7 +304,6 @@ def _search(
     runs: list[tuple[list[tuple[int, int, float]], list[tuple[int, int, float]]]],
     exit_idx: list[int],
     best_obj: float,
-    tol: float,
     node_budget: float = math.inf,
 ) -> tuple[list[float] | None, SolveStats]:
     """Branch-and-bound over runs from the longest paths of edges.
@@ -288,7 +313,7 @@ def _search(
     node branches on its first undecided unclear run, pass-after explored
     first, or is a candidate if every run is clear.  A node whose objective
     (the sum of its times at exit_idx) is not below best_obj by more than
-    tol is pruned, so ties never replace the incumbent.  Children closing a
+    _EPS is pruned, so ties never replace the incumbent.  Children closing a
     positive cycle count as nodes.  Returns the best candidate's times, None
     if none beat best_obj, and the counts; optimal is False if the node
     budget ran out.
@@ -323,7 +348,7 @@ def _search(
             break
         d = np.array(dist)
         obj = float(np.add.reduce(d[exit_idx]))
-        if obj >= best_obj - tol:
+        if obj >= best_obj - _EPS:
             continue
         branch = -1
         if n_runs:
@@ -386,11 +411,16 @@ def solve(model: DisjunctiveModel) -> tuple[ScheduleTuple, SolveStats]:
     violating none is feasible outright and its exit time is exact for that
     subtree.  Deterministic: blocks are pre-sorted, pass-after explored
     first, and ties never replace an incumbent.
+
+    Pass-before edges only cap the vehicle's own times, and the relaxation
+    is already least, so a violated pass-before side closes a positive
+    cycle: the search is one pass-after path and finds at most one
+    candidate, which nothing prunes.
     """
     t_start = time.perf_counter()
     n = model.n_vars
     edges, runs = _model_graph(model)
-    best, stats = _search(n + 1, edges, runs, [n - 1], math.inf, 1e-12)
+    best, stats = _search(n + 1, edges, runs, [n - 1], math.inf)
     stats.wall_ms = (time.perf_counter() - t_start) * 1e3
     if best is None:
         raise Infeasible(f"vehicle {model.vehicle_id}: no schedule satisfies the constraints")
@@ -403,7 +433,7 @@ def solve_fifo(model: DisjunctiveModel) -> tuple[ScheduleTuple, SolveStats]:
     n = model.n_vars
     edges, runs = _model_graph(model)
     every_after = edges + [e for after, _ in runs for e in after]
-    times, stats = _search(n + 1, every_after, [], [n - 1], math.inf, 1e-12)
+    times, stats = _search(n + 1, every_after, [], [n - 1], math.inf)
     stats.free_runs = len(runs)
     stats.wall_ms = (time.perf_counter() - t_start) * 1e3
     if times is None:
@@ -493,7 +523,7 @@ def solve_centralized(
     if seed_schedules is not None:
         best_obj = sum(seed_schedules[e.vehicle_id].exit_time for e in entries)
     exit_idx = [off + len(e.path.zone_ids) for off, e in zip(offsets, entries)]
-    best, stats = _search(origin + 1, edges, runs, exit_idx, best_obj, 1e-9, node_budget)
+    best, stats = _search(origin + 1, edges, runs, exit_idx, best_obj, node_budget)
     stats.wall_ms = (time.perf_counter() - t_begin) * 1e3
     if best is not None:
         return {

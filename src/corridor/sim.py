@@ -45,6 +45,11 @@ from .trajectory import (
 
 POLICIES = ("decentralized", "centralized", "fifo")
 
+# most vehicles one run may hold: a Poisson n_vehicles, or a volume run's
+# expected count (volume/3600 * horizon * paths); scheduling is quadratic in
+# the count, so a larger run would not finish anyway
+MAX_VEHICLES = 10_000
+
 # arrival horizons calibrated so expected arrivals match the reference
 # vehicle counts (count = 4 paths * volume/3600 * horizon)
 VOLUME_HORIZONS = {400.0: 31.5, 600.0: 27.0, 800.0: 28.125, 1000.0: 27.9, 1200.0: 27.0}
@@ -197,9 +202,19 @@ class SimConfig:
                 raise ConfigError("volume must be positive")
             if self.horizon is None and float(self.volume_veh_h) not in VOLUME_HORIZONS:
                 raise ConfigError("horizon required for off-reference volumes")
+            expected = self.volume_veh_h / 3600.0 * self.arrival_horizon() * len(self.paths)
+            if expected > MAX_VEHICLES:
+                raise ConfigError(
+                    f"volume and horizon expect {expected:.6g} vehicles, above the "
+                    f"{MAX_VEHICLES} a run may hold"
+                )
         else:
             if self.poisson_rate <= 0 or self.n_vehicles <= 0:
                 raise ConfigError("poisson mode needs a positive rate and vehicle count")
+            if self.n_vehicles > MAX_VEHICLES:
+                raise ConfigError(
+                    f"n_vehicles must be at most {MAX_VEHICLES}, got {self.n_vehicles}"
+                )
         if not self.paths:
             raise ConfigError("at least one path required")
         for name in ("rear_end_dt", "fuel_dt", "trace_dt", "hold_dt", "vmerge_step"):

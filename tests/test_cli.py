@@ -11,6 +11,7 @@ import os
 import numpy as np
 import pytest
 
+from corridor import cli
 from corridor.cli import (
     _suite_centralized,
     _suite_kinematics,
@@ -18,6 +19,8 @@ from corridor.cli import (
     _suite_trajectory,
     main,
 )
+from corridor.scheduler import Infeasible
+from corridor.trajectory import NoExitFound, PiecingDiverged
 
 POISSON_CFG = {"arrival_mode": "poisson", "n_vehicles": 6, "seed": 3}
 
@@ -128,6 +131,8 @@ def test_non_object_config_exits_2_without_artifacts(tmp_path, cfg_file, capsys,
         {"fuel": {"cruise": [0.1569, 0.0245, -0.00071, math.inf], "accel": [0.07224, 0.09681, 0.001075]}},
         {"node_budget": -5, "policy": "centralized", "arrival_mode": "poisson", "n_vehicles": 8},
         {"max_holds": -1},
+        {"arrival_mode": "poisson", "n_vehicles": 100000000, "poisson_rate": 1e-300},
+        {"volume_veh_h": 600.0, "horizon": 1e12},
     ],
 )
 def test_mistyped_config_exits_2_without_artifacts(tmp_path, cfg_file, capsys, data):
@@ -136,6 +141,31 @@ def test_mistyped_config_exits_2_without_artifacts(tmp_path, cfg_file, capsys, d
     assert main(["run", "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "command, target, exc",
+    [
+        ("run", "run_sim", Infeasible),
+        ("compare", "compare_policies", PiecingDiverged),
+        ("sweep", "run_sim", NoExitFound),
+    ],
+)
+def test_runtime_failure_exits_1_without_traceback(
+    tmp_path, cfg_file, capsys, monkeypatch, command, target, exc
+):
+    def fail(*args, **kwargs):
+        raise exc("zone 7: injected failure")
+
+    monkeypatch.setattr(cli, target, fail)
+    monkeypatch.setenv("CORRIDOR_THREADS", "1")  # keep sweep cells in-process
+    out = tmp_path / "out"
+    argv = [command, "--config", cfg_file("cfg.json", POISSON_CFG), "--out", str(out)]
+    if command == "sweep":
+        argv += ["--volumes", "600", "--seeds", "1"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: zone 7: injected failure\n"
     assert not out.exists() or not any(out.iterdir())
 
 

@@ -8,10 +8,12 @@ oracle written here.
 import dataclasses
 import hashlib
 import math
+from collections import deque
 
 import numpy as np
 import pytest
 
+from corridor import scheduler
 from corridor.kinematics import Limits
 from corridor.network import build_network, conflict_runs
 from corridor.scheduler import (
@@ -21,6 +23,7 @@ from corridor.scheduler import (
     Infeasible,
     ScheduleTuple,
     ZoneBounds,
+    _propagate,
     build_instance,
     enumerate_exact,
     solve,
@@ -242,6 +245,115 @@ def test_infeasible_children_count_as_nodes():
     assert sched.times == (0.0, 7.0, 13.5)
 
 
+def test_run_clear_within_tolerance_is_not_branched():
+    # the release chain puts time 1 at 4.0, and the committed vehicle's time
+    # plus the headway is 4.0 exactly, or 5e-10 above it: both runs count as
+    # clear (pass-after holds within _EPS), so the root is the only node
+    for other in (2.5, 2.5 + 5e-10):
+        model = DisjunctiveModel(
+            1, (10,), 0.0, (ZoneBounds(4.0, 20.0),), (DisjunctiveBlock(7, (1,), (other,), False),), 1.5
+        )
+        sched, stats = solve(model)
+        assert (stats.nodes, stats.candidates, stats.free_runs) == (1, 1, 1)
+        assert sched.times == (0.0, 4.0)
+
+
+def test_per_vehicle_search_is_one_pass_after_path():
+    # pass-before edges only cap the vehicle's own times, which the
+    # relaxation already holds least, so every pass-before child is a
+    # positive cycle: one candidate, reached through two children per branch
+    rng = np.random.default_rng(5)
+    solved = 0
+    for _ in range(200):
+        model = _random_model(rng)
+        try:
+            _, stats = solve(model)
+        except Infeasible:
+            continue
+        assert stats.candidates == 1 and stats.nodes % 2 == 1
+        solved += 1
+    assert solved >= 100
+
+
+# -- _propagate: the origin is the last node ----------------------------------
+
+
+def _out_lists(n_nodes, edges):
+    out = [[] for _ in range(n_nodes)]
+    for u, v, w in edges:
+        out[u].append((v, w))
+    return out
+
+
+def _from_origin(n_nodes):
+    dist = [-math.inf] * n_nodes
+    dist[-1] = 0.0
+    return dist
+
+
+def _count_pops(monkeypatch, limit=100_000):
+    """Count _propagate's queue pops; fail past limit instead of hanging."""
+    pops = []
+
+    class CountingDeque(deque):
+        def popleft(self):
+            pops.append(1)
+            assert len(pops) <= limit, "propagation did not terminate"
+            return super().popleft()
+
+    monkeypatch.setattr(scheduler, "deque", CountingDeque)
+    return pops
+
+
+def test_propagate_rejects_a_positive_cycle_closed_by_a_new_edge(monkeypatch):
+    # a 20-zone release chain from t0 = 0, then a deadline of 10 on the whole
+    # chain: the cycle through the new edge gains 10.  The parent walk proves
+    # it within one lap, before any node could be relaxed n_nodes times
+    n = 22
+    base = [(21, 0, 0.0), (0, 21, 0.0)] + [(k, k + 1, 1.0) for k in range(20)]
+    dist = _from_origin(n)
+    assert _propagate(dist, base, _out_lists(n, base))
+    assert dist == [float(k) for k in range(21)] + [0.0]
+    pops = _count_pops(monkeypatch)
+    new = [(20, 0, -10.0)]
+    assert not _propagate(dist, new, _out_lists(n, base + new))
+    assert len(pops) < n
+
+
+def test_propagate_keeps_zero_weight_cycles():
+    # the t0 pin pair and zone 0's window with release == deadline are
+    # cycles of weight 0; raising node 1, the tail of the new deadline edge,
+    # is no cycle, and dist comes out exact
+    n = 4
+    base = [(0, 3, -2.5), (0, 1, 4.0), (1, 2, 3.0), (2, 1, -7.0)]
+    new = [(3, 0, 2.5), (1, 0, -4.0)]
+    dist = _from_origin(n)
+    assert _propagate(dist, new, _out_lists(n, base + new))
+    assert dist == [2.5, 6.5, 9.5, 0.0]
+
+
+def test_propagate_backstop_catches_a_cycle_away_from_the_new_edges(monkeypatch):
+    # the root call's only new edge leaves the origin; zone 0's release 5
+    # and deadline 3 form a cycle of weight 2 that avoids it, so only the
+    # relaxation count can reject the graph
+    _count_pops(monkeypatch)
+    n = 3
+    edges = [(2, 0, 0.0), (0, 1, 5.0), (1, 0, -3.0)]
+    assert not _propagate(_from_origin(n), [(2, 0, 0.0)], _out_lists(n, edges))
+
+
+def test_propagate_accepts_new_edges_chained_through_a_base_path():
+    # new edges 0 -> 1 and 2 -> 3 with a base path 1 -> 2: raising node 2,
+    # the tail of the later new edge, through the earlier one is no cycle
+    n = 5
+    base = [(4, 0, 0.0), (4, 1, 0.0), (4, 2, 0.0), (4, 3, 0.0), (1, 2, 1.0)]
+    dist = _from_origin(n)
+    assert _propagate(dist, base, _out_lists(n, base))
+    assert dist == [0.0, 0.0, 1.0, 0.0, 0.0]
+    new = [(0, 1, 2.0), (2, 3, 2.0)]
+    assert _propagate(dist, new, _out_lists(n, base + new))
+    assert dist == [0.0, 2.0, 3.0, 5.0, 0.0]
+
 # ---------------------------------------------------------------------------
 # centralized
 # ---------------------------------------------------------------------------
@@ -392,6 +504,21 @@ def test_centralized_budget_returns_seed():
     scheds, stats = solve_centralized(entries, H, node_budget=0, seed_schedules=seed_scheds)
     assert not stats.optimal
     assert scheds == seed_scheds
+
+
+def test_centralized_incumbent_is_replaced_only_beyond_the_tolerance():
+    # seeds whose exit sum is the joint optimum plus 5e-7 lose to the search;
+    # seeds within 5e-10 of it are a tie and are kept
+    e1 = CentralizedEntry(1, EB, 0.0, traversal_bounds(EB, 15.0, LIM, V_MERGE))
+    e2 = CentralizedEntry(2, SB2, 0.3, traversal_bounds(SB2, 15.0, LIM, V_MERGE))
+    opt, _ = solve_centralized([e1, e2], H)
+    for gap, kept in ((5e-7, False), (5e-10, True)):
+        seeds = dict(opt)
+        s2 = opt[2]
+        seeds[2] = ScheduleTuple(2, s2.zone_ids, s2.times[:-1] + (s2.exit_time + gap,))
+        scheds, stats = solve_centralized([e1, e2], H, seed_schedules=seeds)
+        assert (scheds == seeds, stats.candidates) == (kept, 0 if kept else 1)
+        assert scheds[2].exit_time == s2.exit_time + (gap if kept else 0.0)
 
 
 def test_centralized_rejects_unsorted_entries():
