@@ -3,15 +3,20 @@
 Exit codes: 0 on success, 2 on a malformed config or usage error, 3 when the
 configured headway fails the spacing rule, 1 on runtime failures (safety
 violation, saturation, refused overwrite, an infeasible schedule, a zone
-solve that diverged, a follower with no clean exit).  All emitted CSV
-numbers carry 9 significant digits so regression diffs stay meaningful;
-given the same config and seed every artifact is byte-identical, except the
-wall-clock solver timings inside metrics.json.
+solve that diverged, a follower with no clean exit, a failed write).  Each
+artifact goes to a temp file in the output directory, renamed into place
+only once every artifact of the command is written, so a failed write
+changes no artifact, and a command that exits with an error leaves no temp
+file behind.  All emitted CSV numbers carry 9 significant digits so
+regression diffs stay meaningful; given the same config and seed every
+artifact is byte-identical, except the wall-clock solver timings inside
+metrics.json.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -77,8 +82,12 @@ def _load_json(path: str) -> dict:
             return json.load(f)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as e:
+    except OSError as e:
+        raise ConfigError(f"cannot read config file {path}: {e.strerror}") from None
+    except ValueError as e:  # malformed JSON, or bytes that are not text
         raise ConfigError(f"config parse error: {e}") from None
+    except RecursionError:
+        raise ConfigError(f"config parse error: {path} nests too deeply") from None
 
 
 def _config_from(args) -> SimConfig:
@@ -114,6 +123,31 @@ def _write_csv(path: str, header: list[str], rows) -> None:
             w.writerow([_fmt(x) for x in row])
 
 
+def _write_artifacts(*files) -> None:
+    """Write a command's artifacts through temp files beside their targets.
+
+    Each (path, write) pair writes into its own temp file, and the targets
+    are replaced one by one only once every write has finished, so a failed
+    write changes no artifact.  On any failure, a rename included, the temp
+    files not yet renamed are removed.
+    """
+    tmps = []
+    renamed = 0
+    try:
+        for path, write in files:
+            head, name = os.path.split(path)
+            tmps.append(os.path.join(head, f".{name}.{os.getpid()}.tmp"))
+            write(tmps[-1])
+        for (path, _), tmp in zip(files, tmps):
+            os.replace(tmp, path)
+            renamed += 1
+    except BaseException:
+        for tmp in tmps[renamed:]:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
+        raise
+
+
 def _threads(n_cells: int) -> int:
     raw = os.environ.get("CORRIDOR_THREADS")
     if raw is None:
@@ -137,9 +171,12 @@ def cmd_run(args) -> int:
     out_traj = _out_file(args.out, "trajectory.csv", args.force)
     out_metrics = _out_file(args.out, "metrics.json", args.force)
     result = run_sim(cfg)
-    _write_json(out_sched, schedules_json(result))
-    _write_csv(out_traj, ["vehicle", "t", "zone", "p", "v", "u"], trajectory_csv_rows(result))
-    _write_json(out_metrics, metrics_json(result))
+    traj_header = ["vehicle", "t", "zone", "p", "v", "u"]
+    _write_artifacts(
+        (out_sched, lambda path: _write_json(path, schedules_json(result))),
+        (out_traj, lambda path: _write_csv(path, traj_header, trajectory_csv_rows(result))),
+        (out_metrics, lambda path: _write_json(path, metrics_json(result))),
+    )
     m = result.metrics
     print(
         f"{cfg.policy}: {m.n_vehicles} vehicles, "
@@ -170,22 +207,19 @@ def cmd_compare(args) -> int:
                 m.centralized_optimal,
             )
         )
-    _write_csv(
-        out_cmp,
-        [
-            "policy",
-            "n_vehicles",
-            "avg_travel_time",
-            "median_travel_time",
-            "p90_travel_time",
-            "avg_fuel_l",
-            "holds",
-            "fallbacks",
-            "repairs",
-            "optimal",
-        ],
-        rows,
-    )
+    header = [
+        "policy",
+        "n_vehicles",
+        "avg_travel_time",
+        "median_travel_time",
+        "p90_travel_time",
+        "avg_fuel_l",
+        "holds",
+        "fallbacks",
+        "repairs",
+        "optimal",
+    ]
+    _write_artifacts((out_cmp, lambda path: _write_csv(path, header, rows)))
     for policy in POLICIES:
         m = results[policy].metrics
         print(f"{policy}: avg travel time {_fmt(m.avg_travel_time)} s")
@@ -228,7 +262,8 @@ def cmd_sweep(args) -> int:
         avg_n = sum(r[2] for r in got) / len(got)
         avg_tt = sum(r[3] for r in got) / len(got)
         rows.append((vol, avg_n, avg_tt))
-    _write_csv(out_csv, ["volume", "avg_vehicles", "avg_travel_time"], rows)
+    header = ["volume", "avg_vehicles", "avg_travel_time"]
+    _write_artifacts((out_csv, lambda path: _write_csv(path, header, rows)))
     for vol, avg_n, avg_tt in rows:
         print(f"volume {_fmt(vol)}: {_fmt(avg_n)} vehicles, avg travel time {_fmt(avg_tt)} s")
     return 0
@@ -238,7 +273,7 @@ def cmd_emit_network(args) -> int:
     cfg = _config_from(args)
     out_net = _out_file(args.out, "network.json", args.force)
     net = build_network(cfg.approach_length, cfg.link_length, cfg.merging_zone_side)
-    _write_json(out_net, net.to_json())
+    _write_artifacts((out_net, lambda path: _write_json(path, net.to_json())))
     print(f"wrote {out_net}: {len(net.zones)} zones, {len(net.all_paths())} paths")
     return 0
 
@@ -490,10 +525,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3 if isinstance(e, UnsafeHeadway) else 2
-    except FileExistsError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (SafetyViolation, Saturated, Infeasible, PiecingDiverged, NoExitFound) as e:
+    except (OSError, SafetyViolation, Saturated, Infeasible, PiecingDiverged, NoExitFound) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -223,6 +223,14 @@ def _cross(node: str, heading: str, turn: str, side: float) -> tuple[tuple[int, 
     return ids, _turn_lengths(side, turn), out
 
 
+def check_geometry(approach_length: float, link_length: float, merging_zone_side: float) -> None:
+    """Raise ValueError unless build_network can lay out these lengths."""
+    if approach_length <= 0 or merging_zone_side <= 0:
+        raise ValueError("lengths must be positive")
+    if link_length <= merging_zone_side:
+        raise ValueError("link_length must exceed merging_zone_side")
+
+
 def build_network(
     approach_length: float = 300.0,
     link_length: float = 100.0,
@@ -235,10 +243,7 @@ def build_network(
     each (square) merging zone.  The directed link zones span the clear road
     between the zone edges, link_length - merging_zone_side.
     """
-    if approach_length <= 0 or merging_zone_side <= 0:
-        raise ValueError("lengths must be positive")
-    if link_length <= merging_zone_side:
-        raise ValueError("link_length must exceed merging_zone_side")
+    check_geometry(approach_length, link_length, merging_zone_side)
     side = merging_zone_side / 2.0
     link_clear = link_length - merging_zone_side
 

@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
 from .kinematics import BoundaryState, InfeasibleBoundary, Limits, headway_is_safe
-from .network import PathSpec, ZoneNetwork, build_network, conflict_runs
+from .network import PathSpec, ZoneNetwork, build_network, check_geometry, conflict_runs
 from .scheduler import (
     CentralizedEntry,
     Infeasible,
@@ -120,8 +121,9 @@ _OPTIONAL_FIELDS = ("horizon", "exit_speed")
 
 
 def _is_number(x) -> bool:
-    """A finite int or float; bool, NaN and the infinities are not."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and -math.inf < x < math.inf
+    """A finite int or float; bool, NaN, the infinities and ints beyond the
+    float range are not."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
 def _check_numbers(name: str, values: tuple, n: int) -> None:
@@ -184,6 +186,7 @@ class SimConfig:
         _check_numbers("fuel accel", self.fuel.accel, 3)
         try:
             lim = self.limits()
+            check_geometry(self.approach_length, self.link_length, self.merging_zone_side)
         except ValueError as e:
             raise ConfigError(str(e)) from e
         if self.policy not in POLICIES:
@@ -220,7 +223,7 @@ class SimConfig:
         for name in ("rear_end_dt", "fuel_dt", "trace_dt", "hold_dt", "vmerge_step"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)!r}")
-        for name in ("node_budget", "max_holds"):
+        for name in ("seed", "node_budget", "max_holds"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must not be negative, got {getattr(self, name)!r}")
         # the headway must clear the rear-end rule for every configured
@@ -388,6 +391,15 @@ class VehicleTrajectory:
 
     def zone_at(self, t: np.ndarray) -> np.ndarray:
         return self._arc_zone_ids[self.table.index(np.asarray(t, dtype=float))]
+
+    def rate_pieces(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Piece per sorted time from t_start on, with per-piece bounds on
+        |dv/dt| and |dp/dt - v| (ArcTable.rate_bounds): one piece per arc,
+        plus the coast past the exit, where v' = 0 and p' = v."""
+        table, t_end = self.table, self.t_end
+        piece = np.where(t > t_end, len(table.arcs), table.index(t))
+        a, d = table.rate_bounds(t[0], min(t[-1], t_end))
+        return piece, np.append(a, 0.0), np.append(d, 0.0)
 
     def sample(self, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         t = sample_times(self.t_start, self.t_end, dt)

@@ -24,6 +24,15 @@ spacing rule) is integrated numerically; its entry control comes from the
 tangency condition and it ends as soon as the remainder, re-solved inside
 its own release/deadline window, stays clear of the constraint.  Costate
 jump bookkeeping at those junctions is reported, not enforced.
+
+Each candidate exit is tested on check_rear_end's 1 ms grid, but through a
+screen (_exit_trough): every 32nd sample is evaluated, and a stretch between
+two of them is skipped only where a Lipschitz bound on the margin, built
+from per-arc bounds on |dv/dt| and |dp/dt - v|, proves that none of its
+samples falls below the tolerance.  The rest is evaluated exactly as the
+full scan evaluates it, so the screen returns the full scan's worst margin
+bit for bit and no verdict, and no exit, can change.  check_rear_end itself
+stays the plain full scan that the safety checks and tests use.
 """
 
 from __future__ import annotations
@@ -138,6 +147,23 @@ class Arc:
         u_end = self.u0 + self.slope * self.duration
         return min(self.u0, u_end), max(self.u0, u_end)
 
+    @cached_property
+    def follow_rates(self) -> tuple[float, float]:
+        """Bounds on |dv/dt| and |dp/dt - v| between a follow arc's samples.
+
+        np.interp makes p and v linear on each sample interval, so v' is the
+        interval's speed slope and p' - v is linear there, largest at an end.
+        Repeated or unordered sample times get no finite bound.
+        """
+        ts, ps, vs, _ = self.samples
+        dt = np.diff(ts)
+        if len(dt) == 0 or not (dt > 0.0).all():
+            return math.inf, math.inf
+        sv = np.diff(vs) / dt
+        sp = np.diff(ps) / dt
+        d = max(np.abs(sp - vs[:-1]).max(), np.abs(sp - vs[1:]).max())
+        return float(np.abs(sv).max()), float(d)
+
 
 class ArcTable:
     """Flat table over a time-ordered arc sequence: the evaluation kernel.
@@ -163,6 +189,31 @@ class ArcTable:
     def index(self, t: np.ndarray) -> np.ndarray:
         """Arc index per time: the first arc whose end is at or after it."""
         return np.minimum(np.searchsorted(self.edges, t, side="left"), len(self.arcs) - 1)
+
+    def rate_bounds(self, t_lo: float, t_hi: float) -> tuple[np.ndarray, np.ndarray]:
+        """Per arc, bounds A on |dv/dt| and D on |dp/dt - v| over the times
+        in [t_lo, t_hi] that index() routes to it.
+
+        A polynomial arc has p' = v exactly (D = 0) and a linear u, so |u|
+        peaks at an end of its routed range.  A follow arc takes its sample
+        bounds (Arc.follow_rates); routed times outside its samples, where
+        np.interp holds p and v constant, get no finite bound.
+        """
+        r0 = np.maximum(np.concatenate(([-math.inf], self.edges[:-1])), t_lo)
+        r1 = np.minimum(self.edges, t_hi)
+        r1[-1] = t_hi
+        a = np.maximum(
+            np.abs(self.u0 + self.slope * (r0 - self.t0)),
+            np.abs(self.u0 + self.slope * (r1 - self.t0)),
+        )
+        d = np.zeros(len(a))
+        for k in self.follow:
+            ts = self.arcs[k].samples[0]
+            if r0[k] <= r1[k] and (r0[k] < ts[0] or r1[k] > ts[-1]):
+                a[k] = d[k] = math.inf
+            else:
+                a[k], d[k] = self.arcs[k].follow_rates
+        return a, d
 
     def eval_many(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         idx = self.index(t)
@@ -226,6 +277,11 @@ class ZoneTrajectory:
         p, v, u = self.eval_many(t)
         return t, p, v, u
 
+    def rate_pieces(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Piece per sorted time, with per-piece bounds on |dv/dt| and
+        |dp/dt - v| over [t[0], t[-1]]; a piece is one arc (ArcTable.rate_bounds)."""
+        return (self.table.index(t), *self.table.rate_bounds(t[0], t[-1]))
+
     def speed_extrema(self) -> tuple[float, float]:
         los, his = zip(*(a.speed_extrema() for a in self.arcs))
         return min(los), max(his)
@@ -269,6 +325,29 @@ def _cubic_coeffs(w: float, ps: float, vs: float, pe: float, ve: float) -> tuple
     rhs = np.array([ps, vs, pe, ve])
     _d, _c, b, a = np.linalg.solve(m, rhs)
     return float(a), float(b)
+
+
+def _cubic_coeffs_many(w: np.ndarray, ps, vs, pe, ve) -> tuple[np.ndarray, np.ndarray]:
+    """_cubic_coeffs over an array of windows, through one batched solve.
+
+    Any of the boundary values may be an array of the same length.  Every
+    matrix entry is formed by the scalar version's own operation, w**3 on
+    each numpy scalar included (the array power may round differently), and
+    the batch solves each system alone with the same LAPACK call, so every
+    element equals the scalar result bit for bit.
+    """
+    n = len(w)
+    half_sq = w * w / 2.0
+    m = np.zeros((n, 4, 4))
+    m[:, 0, 0] = m[:, 1, 1] = m[:, 2, 0] = m[:, 3, 1] = 1.0
+    m[:, 2, 1] = m[:, 3, 2] = w
+    m[:, 2, 2] = m[:, 3, 3] = half_sq
+    m[:, 2, 3] = np.asarray([x**3 for x in w]) / 6.0
+    rhs = np.empty((n, 4, 1))
+    for j, col in enumerate((ps, vs, pe, ve)):
+        rhs[:, j, 0] = col
+    sol = np.linalg.solve(m, rhs)
+    return sol[:, 3, 0], sol[:, 2, 0]
 
 
 def solve_unconstrained(bvp: ZoneBVP) -> Arc:
@@ -339,18 +418,33 @@ def _verify(bvp: ZoneBVP, traj: ZoneTrajectory) -> ZoneTrajectory:
     return traj
 
 
-def _bracket_brentq(f, lo: float, hi: float, n_scan: int = 96) -> float | None:
-    """Scan for a sign change, then refine.  None when no bracket exists."""
+def _bracket_brentq(f, lo: float, hi: float, n_scan: int = 96, f_many=None) -> float | None:
+    """Scan for a sign change, then refine.  None when no bracket exists.
+
+    f_many, when given, evaluates f on the whole scan grid at once and must
+    equal f element for element; if it raises, the grid is scanned point by
+    point so that a failing point only breaks the bracket there.  The
+    refinement always calls f.
+    """
     if hi <= lo:
         return None
     xs = np.linspace(lo, hi, n_scan)
-    prev_x, prev_f = None, None
-    for x in xs:
+    fs = None
+    if f_many is not None:
         try:
-            fx = f(x)
+            fs = f_many(xs)
         except (ValueError, ZeroDivisionError, FloatingPointError):
-            prev_x, prev_f = None, None
-            continue
+            pass
+    prev_x, prev_f = None, None
+    for i, x in enumerate(xs):
+        if fs is not None:
+            fx = fs[i]
+        else:
+            try:
+                fx = f(x)
+            except (ValueError, ZeroDivisionError, FloatingPointError):
+                prev_x, prev_f = None, None
+                continue
         if not math.isfinite(fx):
             prev_x, prev_f = None, None
             continue
@@ -393,7 +487,13 @@ def _sat_linear(bvp: ZoneBVP, u_raw0: float, u_raw1: float) -> list[_Piece] | No
             a, b = _cubic_coeffs(w - tau, p1, v1, pe, ve)
             return b - U
 
-        tau = _bracket_brentq(residual, 1e-11, w - 1e-9)
+        def residual_many(tau):
+            v1 = vs + U * tau
+            p1 = ps + vs * tau + 0.5 * U * tau * tau
+            a, b = _cubic_coeffs_many(w - tau, p1, v1, pe, ve)
+            return b - U
+
+        tau = _bracket_brentq(residual, 1e-11, w - 1e-9, f_many=residual_many)
         if tau is not None:
             v1 = vs + U * tau
             p1 = ps + vs * tau + 0.5 * U * tau * tau
@@ -415,7 +515,14 @@ def _sat_linear(bvp: ZoneBVP, u_raw0: float, u_raw1: float) -> list[_Piece] | No
             a, b = _cubic_coeffs(tau, ps, vs, p1, v1)
             return (b + a * tau) - U
 
-        tau = _bracket_brentq(residual, 1e-9, w - 1e-11)
+        def residual_many(tau):
+            dur = w - tau
+            v1 = ve - U * dur
+            p1 = pe - ve * dur + 0.5 * U * dur * dur
+            a, b = _cubic_coeffs_many(tau, ps, vs, p1, v1)
+            return (b + a * tau) - U
+
+        tau = _bracket_brentq(residual, 1e-9, w - 1e-11, f_many=residual_many)
         if tau is not None:
             dur = w - tau
             v1 = ve - U * dur
@@ -520,31 +627,40 @@ def _cruise_pieces(bvp: ZoneBVP, v_pin: float, A: float) -> tuple[list[_Piece], 
     return pieces, p
 
 
-def _with_cruise(bvp: ZoneBVP, v_pin: float) -> list[_Piece]:
-    """Find the control slope whose ramp/cruise/ramp lands on the exit state."""
-    pe = bvp.end.position
+def _min_cruise_slope(bvp: ZoneBVP, v_pin: float) -> float:
+    """Smallest control slope whose ramps fit the window, by bisection.
 
-    def fit(A):
-        out = _cruise_pieces(bvp, v_pin, A)
-        return -1.0 if out is None else 1.0
+    The bracket halves until its midpoint rounds onto an end (at most 200
+    steps).  An end's fit is already known, so from there every further
+    step would leave both ends as they are.
+    """
 
-    # smallest slope whose ramps fit the window
+    def fits(A: float) -> bool:
+        return _cruise_pieces(bvp, v_pin, A) is not None
+
     lo, hi = 1e-9, 1e-9
-    while fit(hi) < 0:
+    while not fits(hi):
         hi *= 2.0
         if hi > 1e9:
             raise PiecingDiverged(f"zone {bvp.zone_id}: cruise ramps never fit the window")
-    if fit(lo) > 0:
-        a_min = lo
-    else:
-        a_lo, a_hi = lo, hi
-        for _ in range(200):
-            mid = 0.5 * (a_lo + a_hi)
-            if fit(mid) > 0:
-                a_hi = mid
-            else:
-                a_lo = mid
-        a_min = a_hi
+    if fits(lo):
+        return lo
+    a_lo, a_hi = lo, hi
+    for _ in range(200):
+        mid = 0.5 * (a_lo + a_hi)
+        if not a_lo < mid < a_hi:
+            break
+        if fits(mid):
+            a_hi = mid
+        else:
+            a_lo = mid
+    return a_hi
+
+
+def _with_cruise(bvp: ZoneBVP, v_pin: float) -> list[_Piece]:
+    """Find the control slope whose ramp/cruise/ramp lands on the exit state."""
+    pe = bvp.end.position
+    a_min = _min_cruise_slope(bvp, v_pin)
 
     def landing(A):
         out = _cruise_pieces(bvp, v_pin, A)
@@ -682,6 +798,92 @@ def check_rear_end(
     ]
 
 
+_SCREEN_STRIDE = 32  # grid samples per screened segment
+_SCREEN_SLACK = 1e-6  # m: covers float rounding in margins and the bound
+
+
+def _exit_trough(
+    leader,
+    leader_anchor: float,
+    follower,
+    follower_anchor: float,
+    t_lo: float,
+    t_hi: float,
+    gamma: float,
+    phi: float,
+    dt: float,
+    tol: float,
+) -> float | None:
+    """Deepest sampled margin below -tol on check_rear_end's grid, or None.
+
+    Equals the least worst margin over check_rear_end's runs, bit for bit,
+    while evaluating only part of the grid.  Every _SCREEN_STRIDE-th sample
+    (and the last) is evaluated.  A segment between two of them is skipped
+    only when a proven lower bound keeps all its samples at or above -tol,
+    or, once some coarse sample is below -tol, at or above the least coarse
+    margin, which no skipped sample could then undercut.  Every other
+    sample is evaluated exactly as the full scan evaluates it.
+
+    The bound.  With m = (p_l - a_l) - (p_f - a_f) - gamma - phi*v_f,
+        m' = (v_l - v_f) + (p_l' - v_l) - (p_f' - v_f) - phi*v_f'.
+    On a segment [t_a, t_b] of length delta where each trajectory stays on
+    one piece (rate_pieces: one arc, or the coast past a vehicle's exit),
+    |v'| <= A and |p' - v| <= D hold, so |v_l - v_f| grows from its value at
+    an end by at most (A_l + A_f)*delta and
+        |m'| <= L = max(|v_l - v_f| at t_a, t_b) + (A_l + A_f)*delta
+                    + D_l + D_f + |phi|*A_f.
+    An L-Lipschitz m lies above both m_a - L(t - t_a) and m_b - L(t_b - t),
+    whose lower envelope bottoms out at (m_a + m_b)/2 - L*delta/2.  A fixed
+    _SCREEN_SLACK absorbs the rounding of the evaluated margins (well under
+    1e-9 m at corridor scales) and of the bound itself.  Segments across a
+    piece change, where p, phi*v or u may jump, are evaluated in full, as
+    are whole grids that start before a trajectory's t_start (a vehicle
+    held at its start has p' = 0 while v != 0).  A grid shorter than one
+    stride has coarse samples [0, n] alone, and the same bound holds.
+    """
+    if t_hi <= t_lo:
+        return None
+    n = max(int(math.ceil((t_hi - t_lo) / dt)), 1)
+    t = np.linspace(t_lo, t_hi, n + 1)
+
+    def margin_at(idx):
+        tt = t[idx]
+        p_l, v_l, _ = leader.eval_many(tt)
+        p_f, v_f, _ = follower.eval_many(tt)
+        return (p_l - leader_anchor) - (p_f - follower_anchor) - gamma - phi * v_f, v_l, v_f
+
+    def trough(*margins):
+        m = np.concatenate(margins)
+        bad = m[m < -tol]
+        return float(bad.min()) if bad.size else None
+
+    if t_lo < leader.t_start or t_lo < follower.t_start:
+        return trough(margin_at(slice(None))[0])
+    coarse = np.arange(0, n + 1, _SCREEN_STRIDE)
+    if coarse[-1] != n:
+        coarse = np.append(coarse, n)
+    tc = t[coarse]
+    m_c, v_l, v_f = margin_at(coarse)
+    piece_l, a_l, d_l = leader.rate_pieces(tc)
+    piece_f, a_f, d_f = follower.rate_pieces(tc)
+    one_piece = (piece_l[1:] == piece_l[:-1]) & (piece_f[1:] == piece_f[:-1])
+    pl, pf = piece_l[:-1], piece_f[:-1]
+    delta = np.diff(tc)
+    dv = np.abs(v_l - v_f)
+    lip = np.maximum(dv[:-1], dv[1:]) + (a_l[pl] + a_f[pf]) * delta + d_l[pl] + d_f[pf] + abs(phi) * a_f[pf]
+    lower = 0.5 * (m_c[:-1] + m_c[1:]) - 0.5 * lip * delta - _SCREEN_SLACK
+    floor = min(-tol, float(m_c.min()))
+    open_seg = np.flatnonzero(~(one_piece & (lower >= floor)))
+    first = coarse[open_seg] + 1
+    count = coarse[open_seg + 1] - first
+    if not count.sum():
+        return trough(m_c)
+    # interior grid indices of every open segment, in order
+    offset = np.repeat(first - np.cumsum(count) + count, count)
+    inner = np.arange(count.sum()) + offset
+    return trough(m_c, margin_at(inner)[0])
+
+
 def follow_arc(
     t1: float,
     state: tuple[float, float],
@@ -706,6 +908,13 @@ def follow_arc(
     that trajectory is returned in info["remainder"] so the caller splices
     exactly what was checked.  Costate jumps at the junctions are reported,
     not enforced.
+
+    The clearance test is _exit_trough: check_rear_end's verdict and worst
+    margin at dt = 1 ms, tol = 5e-7, computed by a bound-screened scan that
+    returns the same float, so the exit and the skip after a rejected
+    candidate (which reads that worst margin) are those of the full scan.
+    The leader is evaluated twice per integration step, at the midpoint and
+    the end; the start reuses the previous step's end.
     """
     p1, v1 = state
     pl1, vl, _ul = leader.eval(t1)
@@ -756,32 +965,31 @@ def follow_arc(
         # rejecting any real re-violation further out.  Sampling is finer and
         # acceptance tighter than the downstream verification pass, so a
         # differently anchored verification grid cannot flip the verdict.
-        viol = check_rear_end(
+        trough = _exit_trough(
             leader, leader_anchor, cand, follower_anchor, tau, bvp.t_end, gamma, phi,
             dt=1e-3, tol=5e-7,
         )
-        if viol:
-            trough = min(m for _, _, m in viol)
+        if trough is not None:
             return False, tau + (-trough - 5e-7) / margin_rate
         accepted["remainder"] = cand
         return True, tau
 
-    def leader_v(tt: float) -> float:
-        return leader.eval(tt)[1]
-
     next_test = t1
     max_steps = int(math.ceil((bvp.t_end - t1) / grid_dt)) + 1
+    vl_t = vl  # leader speed at t, carried over from the previous step's end
     for _ in range(max_steps):
         if t >= bvp.t_end - grid_dt * 0.5:
             break
         dt = min(grid_dt, bvp.t_end - t)
-        k1 = (leader_v(t) - v) / phi
-        k2 = (leader_v(t + dt / 2) - (v + dt / 2 * k1)) / phi
-        k3 = (leader_v(t + dt / 2) - (v + dt / 2 * k2)) / phi
-        k4 = (leader_v(t + dt) - (v + dt * k3)) / phi
+        vl_mid = leader.eval(t + dt / 2)[1]
+        pl_t, vl_end, _ = leader.eval(t + dt)
+        k1 = (vl_t - v) / phi
+        k2 = (vl_mid - (v + dt / 2 * k1)) / phi
+        k3 = (vl_mid - (v + dt / 2 * k2)) / phi
+        k4 = (vl_end - (v + dt * k3)) / phi
         v += dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
         t += dt
-        pl_t, vl_t, _ = leader.eval(t)
+        vl_t = vl_end
         p = (pl_t - leader_anchor + follower_anchor) - gamma - phi * v - m1
         u = (vl_t - v) / phi
         ts.append(t)

@@ -4,12 +4,21 @@ Commands run in-process through main() with temp directories standing in
 for the artifact store.
 """
 
+import contextlib
+import dataclasses
+import errno
+import functools
+import io
 import json
 import math
 import os
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from corridor import cli
 from corridor.cli import (
@@ -20,6 +29,8 @@ from corridor.cli import (
     main,
 )
 from corridor.scheduler import Infeasible
+from corridor.sim import POLICIES, SimConfig, generate_arrivals
+from corridor.sim import run as run_sim
 from corridor.trajectory import NoExitFound, PiecingDiverged
 
 POISSON_CFG = {"arrival_mode": "poisson", "n_vehicles": 6, "seed": 3}
@@ -133,6 +144,10 @@ def test_non_object_config_exits_2_without_artifacts(tmp_path, cfg_file, capsys,
         {"max_holds": -1},
         {"arrival_mode": "poisson", "n_vehicles": 100000000, "poisson_rate": 1e-300},
         {"volume_veh_h": 600.0, "horizon": 1e12},
+        {"headway": 10**400},
+        {"seed": -1},
+        {"link_length": 20.0},
+        {"approach_length": 0.0},
     ],
 )
 def test_mistyped_config_exits_2_without_artifacts(tmp_path, cfg_file, capsys, data):
@@ -142,6 +157,24 @@ def test_mistyped_config_exits_2_without_artifacts(tmp_path, cfg_file, capsys, d
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "content",
+    [None, b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000],
+    ids=["directory", "not-utf8", "too-deep"],
+)
+def test_unreadable_config_exits_2_without_artifacts(tmp_path, capsys, content):
+    cfg = tmp_path / "cfg.json"
+    if content is None:
+        cfg.mkdir()  # a directory where the file should be
+    else:
+        cfg.write_bytes(content)  # not UTF-8 text
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -279,3 +312,91 @@ def test_validate_reports_budget_skip():
     status, detail = _suite_centralized(rng, node_budget=1, n=1)
     assert status == "SKIP"
     assert "budget" in detail
+
+
+def test_failed_write_leaves_earlier_artifacts_untouched(tmp_path, cfg_file, capsys, monkeypatch):
+    cfg = cfg_file("cfg.json", POISSON_CFG)
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    rows = cli.trajectory_csv_rows
+
+    def fail_partway(result):
+        for i, row in enumerate(rows(result)):
+            if i == 50:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            yield row
+
+    monkeypatch.setattr(cli, "trajectory_csv_rows", fail_partway)
+    assert main(["run", "--config", cfg, "--out", str(out), "--force"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    # schedules.json was written before the failure, but only to a temp file
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    fresh = tmp_path / "fresh"
+    assert main(["run", "--config", cfg, "--out", str(fresh)]) == 1
+    assert list(fresh.iterdir()) == []
+    # a rename that fails partway: trajectory.csv is now a directory
+    monkeypatch.setattr(cli, "trajectory_csv_rows", rows)
+    (out / "trajectory.csv").unlink()
+    (out / "trajectory.csv").mkdir()
+    capsys.readouterr()
+    assert main(["run", "--config", cfg, "--out", str(out), "--force"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert sorted(p.name for p in out.iterdir()) == sorted(before)
+    assert (out / "trajectory.csv").is_dir()
+    assert (out / "metrics.json").read_bytes() == before["metrics.json"]
+
+
+@functools.cache
+def tiny_result():
+    return run_sim(SimConfig(arrival_mode="poisson", n_vehicles=2, seed=1))
+
+
+JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+CONFIG_FIELDS = st.sampled_from([f.name for f in dataclasses.fields(SimConfig)])
+# values near the defaults reach the checks past the type tests
+FIELD_VALUES = JSON_VALUES | st.integers(-2, 40) | st.floats(-1.0, 30.0) | st.sampled_from(["poisson", "fifo"])
+
+
+@settings(max_examples=300, deadline=None)
+@example(data={}, command="run")
+@example(data={"headway": 0.5}, command="compare")
+@example(data={"headway": 10**400}, command="run")
+@given(
+    data=JSON_VALUES | st.dictionaries(CONFIG_FIELDS, FIELD_VALUES, max_size=5),
+    command=st.sampled_from(["run", "compare"]),
+)
+def test_any_json_config_gets_a_documented_exit(data, command):
+    # no simulation runs: a config that validates has its arrivals drawn,
+    # then gets a stored result
+    results = {p: tiny_result() for p in POLICIES}
+
+    def arrivals_then(result):
+        def stub(cfg):
+            generate_arrivals(cfg)
+            return result
+
+        return stub
+
+    with (
+        tempfile.TemporaryDirectory() as tmp,
+        mock.patch.object(cli, "run_sim", arrivals_then(results["decentralized"])),
+        mock.patch.object(cli, "compare_policies", arrivals_then(results)),
+    ):
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as f:
+            json.dump(data, f)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([command, "--config", path, "--out", os.path.join(tmp, "out")])
+    assert code in (0, 1, 2, 3)
+    assert len(err.getvalue().splitlines()) <= 1
+    assert (code == 0) == (err.getvalue() == "")

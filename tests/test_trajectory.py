@@ -13,15 +13,26 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from corridor import trajectory
 from corridor.kinematics import BoundaryState, InfeasibleBoundary, Limits, deadline, release_time
 from corridor.scheduler import ZoneBounds
+from corridor.sim import SimConfig, VehicleTrajectory, run
 from corridor.trajectory import (
+    _SCREEN_STRIDE,
     Arc,
     NoExitFound,
     PiecingDiverged,
     SingularWindow,
     ZoneBVP,
     ZoneTrajectory,
+    _cruise_pieces,
+    _cubic_coeffs,
+    _cubic_coeffs_many,
+    _cubic_speed_violation,
+    _exit_trough,
+    _min_cruise_slope,
+    _Piece,
+    _sat_linear,
     check_rear_end,
     follow_arc,
     solve_unconstrained,
@@ -544,3 +555,229 @@ def test_check_rear_end_runs_match_scalar_scan_random():
             t_lo, t_hi, 0.0, 0.0, dt=dt, tol=1e-6,
         )
         assert got == reference_runs(t, margin, 1e-6)
+
+
+# ---------------------------------------------------------------------------
+# screened exit test
+# ---------------------------------------------------------------------------
+
+
+def full_scan_trough(*args, dt=1e-3, tol=5e-7):
+    """The oracle: the least worst margin over check_rear_end's runs."""
+    runs = check_rear_end(*args, dt=dt, tol=tol)
+    return min(m for _, _, m in runs) if runs else None
+
+
+def assert_screen_matches(*args, dt=1e-3, tol=5e-7):
+    got = _exit_trough(*args, dt=dt, tol=tol)
+    want = full_scan_trough(*args, dt=dt, tol=tol)
+    assert (got is None) == (want is None), (got, want)
+    if want is not None:
+        assert got.hex() == want.hex()
+    return got
+
+
+def spy_on_exit_tests(monkeypatch):
+    """Check every exit test follow_arc makes against the full scan."""
+    calls = []
+
+    def checked(*args, dt, tol):
+        calls.append(args)
+        return assert_screen_matches(*args, dt=dt, tol=tol)
+
+    monkeypatch.setattr(trajectory, "_exit_trough", checked)
+    return calls
+
+
+def test_exit_screen_equals_full_scan_at_every_tested_exit_of_a_real_repair(monkeypatch):
+    calls = spy_on_exit_tests(monkeypatch)
+    res = run(SimConfig(arrival_mode="poisson", n_vehicles=20, seed=5, policy="fifo"))
+    assert res.metrics.repairs >= 1
+    assert len(calls) > 300
+    # every tested window is long enough to be screened, not scanned in full
+    assert min(t_hi - t_lo for *_, t_lo, t_hi, _g, _p in calls) > 0.2
+
+
+def between_coarse_samples(at):
+    """The time `at` steps into the sixth screened segment of the exit grid
+    over [0, 1], a sample the screen's coarse pass does not evaluate."""
+    assert 0 < at < _SCREEN_STRIDE
+    return np.linspace(0.0, 1.0, 1001)[5 * _SCREEN_STRIDE + at]
+
+
+def one_sample_dip(lead, foll, tc):
+    runs = check_rear_end(lead, 0.0, foll, 0.0, 0.0, 1.0, 0.0, PHI, dt=1e-3, tol=5e-7)
+    return [(start, end) for start, end, _ in runs] == [(tc, tc)]
+
+
+def test_exit_screen_finds_a_one_sample_dip_at_arc_joins():
+    # the leader drops 1 mm back for one sample between two coarse samples,
+    # on an arc whose ends sit inside that segment
+    tc = between_coarse_samples(13)
+    h = 0.5e-3
+    lead = ZoneTrajectory(0, (
+        Arc("cruise", 0.0, tc - h, p0=1.0),
+        Arc("cruise", tc - h, tc + h, p0=-1e-3),
+        Arc("cruise", tc + h, 1.0, p0=1.0),
+    ))
+    foll = const_speed_traj(0.0, 0.0, 0.0, 1.0)
+    assert one_sample_dip(lead, foll, tc)
+    assert assert_screen_matches(lead, 0.0, foll, 0.0, 0.0, 1.0, 0.0, PHI) == -1e-3
+
+
+def test_exit_screen_bound_is_tight_on_a_follow_arc_kink():
+    # a follow arc whose interpolated position is a V with slopes -1 and +1
+    # and its vertex 1 mm below zero on a sample between two coarse ones:
+    # the margin's Lipschitz bound is exactly its slope there, so any
+    # smaller bound would clear the segment and miss the dip
+    tc = between_coarse_samples(16)
+    ts = np.asarray([0.0, tc, 1.0])
+    ps = -1e-3 + np.abs(ts - tc)
+    zeros = np.zeros(3)
+    lead = ZoneTrajectory(0, (Arc("follow", 0.0, 1.0, samples=(ts, ps, zeros, zeros)),))
+    foll = const_speed_traj(0.0, 0.0, 0.0, 1.0)
+    assert one_sample_dip(lead, foll, tc)
+    got = assert_screen_matches(lead, 0.0, foll, 0.0, 0.0, 1.0, 0.0, PHI)
+    assert got == pytest.approx(-1e-3, abs=1e-12)
+
+
+def test_exit_screen_equals_full_scan_behind_a_tracked_leader():
+    # the leader rides a real follow arc, then its solved remainder; the
+    # follower is a cruise placed to pinch at several depths
+    lead = _leader_decel_then_accel()
+    bvp = ZoneBVP(9, 0.0, 6.0, BoundaryState(95.0, 14.0), BoundaryState(172.0, 13.0), LIM)
+    arc, _tau2, info = follow_arc(0.0, (95.0, 14.0), lead, 0.0, 0.0, bvp, GAMMA, PHI)
+    tracked = ZoneTrajectory(9, (arc,) + info["remainder"].arcs)
+    found = 0
+    for p0 in np.linspace(70.0, 90.0, 9):
+        foll = ZoneTrajectory(9, (Arc("const", 0.0, 6.0, p0=float(p0), v0=13.0, u0=-0.4),))
+        found += assert_screen_matches(tracked, 0.0, foll, 0.0, 0.0, 6.0, GAMMA, PHI) is not None
+    assert 0 < found < 9
+
+
+def test_exit_screen_equals_full_scan_where_the_remainder_speed_is_clipped(monkeypatch):
+    # the leader creeps at 4 m/s, under v_min, before speeding up: candidate
+    # remainders start from the tracked state with its speed raised to v_min
+    a1 = Arc("cruise", 0.0, 2.0, p0=100.0, v0=4.0)
+    p1, v1, _ = a1.end_state()
+    a2 = Arc("const", 2.0, 8.0, p0=p1, v0=v1, u0=1.0)
+    p2, v2, _ = a2.end_state()
+    lead = ZoneTrajectory(0, (a1, a2, Arc("cruise", 8.0, 20.0, p0=p2, v0=v2)))
+    p_f = 100.0 - GAMMA - PHI * 4.0
+    bvp = ZoneBVP(9, 0.0, 14.0, BoundaryState(p_f, 4.0), BoundaryState(p_f + 100.0, 10.0), LIM)
+    calls = spy_on_exit_tests(monkeypatch)
+    _arc, tau2, _info = follow_arc(0.0, (p_f, 4.0), lead, 0.0, 0.0, bvp, GAMMA, PHI)
+    clipped = [c for c in calls if c[2].arcs[0].v0 == LIM.v_min]
+    assert len(clipped) > 100
+    assert tau2 > 3.0
+
+
+def test_exit_screen_equals_full_scan_past_the_leaders_exit():
+    # the leader leaves the corridor at t = 2 and coasts at 10 m/s; the
+    # follower closes in at 12 m/s and pinches only during the coast
+    lead = VehicleTrajectory(1, (0,), (ZoneTrajectory(0, (Arc("const", 0.0, 2.0, p0=20.0, v0=9.0, u0=0.5),)),))
+    foll = ZoneTrajectory(0, (Arc("cubic", 0.0, 10.0, p0=0.0, v0=12.0, u0=0.1, slope=-0.02),))
+    got = assert_screen_matches(lead, 0.0, foll, 0.0, 0.0, 10.0, GAMMA, PHI)
+    assert got is not None
+    runs = check_rear_end(lead, 0.0, foll, 0.0, 0.0, 10.0, GAMMA, PHI, dt=1e-3, tol=5e-7)
+    assert runs[0][0] > lead.t_end
+
+
+def test_exit_screen_equals_full_scan_on_short_windows():
+    lead = const_speed_traj(20.0, 15.0, 0.0, 10.0)
+    fast = const_speed_traj(0.0, 17.0, 0.0, 10.0)
+    # margin crosses zero at 5.8 s; the windows run from one grid sample to
+    # a few strides, so the screen's coarse samples may be the two ends alone
+    for t_hi in (5.751, 5.81, 5.9, 5.75 + _SCREEN_STRIDE * 1e-3, 5.75 + 4 * _SCREEN_STRIDE * 1e-3):
+        assert_screen_matches(lead, 0.0, fast, 0.0, 5.75, t_hi, GAMMA, PHI)
+    assert _exit_trough(lead, 0.0, fast, 0.0, 5.75, 5.75, GAMMA, PHI, dt=1e-3, tol=5e-7) is None
+
+
+# ---------------------------------------------------------------------------
+# zone-solve kernels
+# ---------------------------------------------------------------------------
+
+
+def random_interior_bvps(seed, n):
+    """Random zone problems with windows strictly inside [release, deadline]."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        length = float(rng.uniform(20.0, 400.0))
+        vs, ve = (float(x) for x in rng.uniform(LIM.v_min, LIM.v_max, 2))
+        start, end = BoundaryState(0.0, vs), BoundaryState(length, ve)
+        try:
+            rel = release_time(start, end, LIM).time
+            ddl = deadline(start, end, LIM)
+        except InfeasibleBoundary:
+            continue
+        hi = rel + 20.0 if ddl.is_unbounded() else min(ddl.time, rel + 20.0)
+        yield ZoneBVP(0, 0.0, float(rng.uniform(rel, hi)), start, end, LIM)
+
+
+def test_batched_cubic_coeffs_equal_the_scalar_solve_bitwise():
+    rng = np.random.default_rng(3)
+    w = rng.uniform(1e-6, 60.0, 200)
+    p1, v1 = rng.uniform(0.0, 500.0, 200), rng.uniform(0.0, 25.0, 200)
+    a, b = _cubic_coeffs_many(w, p1, v1, 700.0, 15.0)
+    for i in range(200):
+        assert (a[i], b[i]) == _cubic_coeffs(w[i], p1[i], v1[i], 700.0, 15.0)
+
+
+def test_batched_junction_scan_returns_the_scalar_root(monkeypatch):
+    scans = []
+
+    def scalar_scan(f, lo, hi, n_scan=96, f_many=None):
+        scans.append(f_many is not None)
+        return bracket(f, lo, hi, n_scan)
+
+    bracket = trajectory._bracket_brentq
+    seen = {"lead": 0, "tail": 0}
+    for bvp in random_interior_bvps(7, 1500):
+        w = bvp.window
+        a, b = _cubic_coeffs(w, 0.0, bvp.start.speed, bvp.end.position, bvp.end.speed)
+        if _cubic_speed_violation(bvp, [_Piece("cubic", w, b, a)]) is not None:
+            continue
+        out0 = not LIM.u_min <= b <= LIM.u_max
+        out1 = not LIM.u_min <= b + a * w <= LIM.u_max
+        if out0 == out1:
+            continue
+        seen["lead" if out0 else "tail"] += 1
+        batched = _sat_linear(bvp, b, b + a * w)
+        monkeypatch.setattr(trajectory, "_bracket_brentq", scalar_scan)
+        scalar = _sat_linear(bvp, b, b + a * w)
+        monkeypatch.setattr(trajectory, "_bracket_brentq", bracket)
+        assert scans[0]  # the batched scan served the one-sided root
+        scans.clear()
+        key = lambda pieces: [(pc.label, pc.dur.hex(), pc.u0.hex(), pc.slope.hex()) for pc in pieces or []]
+        assert key(batched) == key(scalar)
+    assert min(seen.values()) >= 100
+
+
+def reference_min_cruise_slope(bvp, v_pin):
+    """The bisection run for all of its 200 steps."""
+    fits = lambda A: _cruise_pieces(bvp, v_pin, A) is not None
+    lo = hi = 1e-9
+    while not fits(hi):
+        hi *= 2.0
+    if fits(lo):
+        return lo
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if fits(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def test_early_stopped_bisection_equals_200_steps():
+    seen = 0
+    for bvp in random_interior_bvps(11, 4000):
+        w = bvp.window
+        a, b = _cubic_coeffs(w, 0.0, bvp.start.speed, bvp.end.position, bvp.end.speed)
+        v_pin = _cubic_speed_violation(bvp, [_Piece("cubic", w, b, a)])
+        if v_pin is None:
+            continue
+        seen += 1
+        assert _min_cruise_slope(bvp, v_pin).hex() == reference_min_cruise_slope(bvp, v_pin).hex()
+    assert seen >= 50
