@@ -11,16 +11,21 @@ control is continuous at control-bound junctions and zero where a cruise
 begins or ends.  That structure reduces every zone solve to at most one
 one-dimensional root-find:
 
-  - pure cubic when nothing saturates,
+  - pure cubic when nothing saturates, its coefficients in closed form
+    (_cubic_coeffs),
   - saturated-linear control (bang / cubic / bang) matched by a single
-    junction-time root when only control bounds bind,
+    junction-time root when only control bounds bind, bracketed on a grid
+    evaluated as one array and refined by brentq,
   - ramp / cruise / ramp pinned at v_max or v_min, parametrized by the shared
-    control slope, when a speed bound binds,
+    control slope, when a speed bound binds; the least slope whose ramps
+    fit is one quadratic root (_min_cruise_slope), the landing slope a
+    brentq root above it,
   - the closed-form fastest or slowest profile when the window equals the
     zone's release or deadline.
 
 A rear-end safety arc (follower tracking a leader under the speed-dependent
-spacing rule) is integrated numerically; its entry control comes from the
+spacing rule) is integrated numerically, with the leader evaluated on the
+step grid a chunk of steps at a time; its entry control comes from the
 tangency condition and it ends as soon as the remainder, re-solved inside
 its own release/deadline window, stays clear of the constraint.  Costate
 jump bookkeeping at those junctions is reported, not enforced.
@@ -307,47 +312,19 @@ class ZoneBVP:
         return self.t_end - self.t_start
 
 
-def _cubic_coeffs(w: float, ps: float, vs: float, pe: float, ve: float) -> tuple[float, float]:
-    """Solve the four boundary conditions for the linear-control coefficients.
+def _cubic_coeffs(w, ps, vs, pe, ve):
+    """Closed-form linear-control coefficients for the four boundary conditions.
 
     Work in window-local time (s = t - t_start); absolute times in the
-    hundreds of seconds cube away all precision otherwise.  Returns
-    (slope, u0) of u(s) = u0 + slope*s.
+    hundreds of seconds cube away all precision otherwise.  With
+    D = pe - ps - vs*w and E = ve - vs, u(s) = u0 + slope*s has
+    slope = (6*E*w - 12*D)/w^3 and u0 = 6*D/w^2 - 2*E/w.  Returns
+    (slope, u0).  Powers are written as products, so an array call equals
+    the scalar calls element for element, bit for bit.
     """
-    m = np.array(
-        [
-            [1.0, 0.0, 0.0, 0.0],
-            [0.0, 1.0, 0.0, 0.0],
-            [1.0, w, w * w / 2.0, w**3 / 6.0],
-            [0.0, 1.0, w, w * w / 2.0],
-        ]
-    )
-    rhs = np.array([ps, vs, pe, ve])
-    _d, _c, b, a = np.linalg.solve(m, rhs)
-    return float(a), float(b)
-
-
-def _cubic_coeffs_many(w: np.ndarray, ps, vs, pe, ve) -> tuple[np.ndarray, np.ndarray]:
-    """_cubic_coeffs over an array of windows, through one batched solve.
-
-    Any of the boundary values may be an array of the same length.  Every
-    matrix entry is formed by the scalar version's own operation, w**3 on
-    each numpy scalar included (the array power may round differently), and
-    the batch solves each system alone with the same LAPACK call, so every
-    element equals the scalar result bit for bit.
-    """
-    n = len(w)
-    half_sq = w * w / 2.0
-    m = np.zeros((n, 4, 4))
-    m[:, 0, 0] = m[:, 1, 1] = m[:, 2, 0] = m[:, 3, 1] = 1.0
-    m[:, 2, 1] = m[:, 3, 2] = w
-    m[:, 2, 2] = m[:, 3, 3] = half_sq
-    m[:, 2, 3] = np.asarray([x**3 for x in w]) / 6.0
-    rhs = np.empty((n, 4, 1))
-    for j, col in enumerate((ps, vs, pe, ve)):
-        rhs[:, j, 0] = col
-    sol = np.linalg.solve(m, rhs)
-    return sol[:, 3, 0], sol[:, 2, 0]
+    d = pe - ps - vs * w
+    e = ve - vs
+    return (6.0 * e * w - 12.0 * d) / (w * w * w), 6.0 * d / (w * w) - 2.0 * e / w
 
 
 def solve_unconstrained(bvp: ZoneBVP) -> Arc:
@@ -418,41 +395,30 @@ def _verify(bvp: ZoneBVP, traj: ZoneTrajectory) -> ZoneTrajectory:
     return traj
 
 
-def _bracket_brentq(f, lo: float, hi: float, n_scan: int = 96, f_many=None) -> float | None:
+def _bracket_brentq(f, lo: float, hi: float, n_scan: int = 96) -> float | None:
     """Scan for a sign change, then refine.  None when no bracket exists.
 
-    f_many, when given, evaluates f on the whole scan grid at once and must
-    equal f element for element; if it raises, the grid is scanned point by
-    point so that a failing point only breaks the bracket there.  The
-    refinement always calls f.
+    f is evaluated once, on the whole scan grid as an array; brentq then
+    calls it on floats.  f must be elementwise float arithmetic (no array
+    powers), so each grid value equals f at that point bit for bit and the
+    scan's signs are the refinement's.  A non-finite value breaks the
+    bracket at its point.
     """
     if hi <= lo:
         return None
-    xs = np.linspace(lo, hi, n_scan)
-    fs = None
-    if f_many is not None:
-        try:
-            fs = f_many(xs)
-        except (ValueError, ZeroDivisionError, FloatingPointError):
-            pass
-    prev_x, prev_f = None, None
-    for i, x in enumerate(xs):
-        if fs is not None:
-            fx = fs[i]
-        else:
-            try:
-                fx = f(x)
-            except (ValueError, ZeroDivisionError, FloatingPointError):
-                prev_x, prev_f = None, None
-                continue
+    xs = np.linspace(lo, hi, n_scan).tolist()
+    with np.errstate(all="ignore"):
+        fs = f(np.asarray(xs)).tolist()
+    prev = None
+    for i, fx in enumerate(fs):
         if not math.isfinite(fx):
-            prev_x, prev_f = None, None
+            prev = None
             continue
         if fx == 0.0:
-            return float(x)
-        if prev_f is not None and (fx > 0) != (prev_f > 0):
-            return float(brentq(f, prev_x, x, xtol=1e-13, rtol=8.9e-16, maxiter=200))
-        prev_x, prev_f = x, fx
+            return xs[i]
+        if prev is not None and (fx > 0) != (fs[prev] > 0):
+            return float(brentq(f, xs[prev], xs[i], xtol=1e-13, rtol=8.9e-16, maxiter=200))
+        prev = i
     return None
 
 
@@ -461,7 +427,9 @@ def _sat_linear(bvp: ZoneBVP, u_raw0: float, u_raw1: float) -> list[_Piece] | No
 
     Control continuity at each junction pins the cubic's value to the bound
     there, leaving junction times as the only unknowns; the speed chain makes
-    their sum affine, so everything reduces to one root-find.
+    their sum affine, so everything reduces to one root-find.  Each residual
+    is plain float arithmetic (closed-form _cubic_coeffs, d*d*d for a cube),
+    so _bracket_brentq's array scan and brentq's float calls agree.
     """
     lim = bvp.limits
     w = bvp.window
@@ -487,13 +455,7 @@ def _sat_linear(bvp: ZoneBVP, u_raw0: float, u_raw1: float) -> list[_Piece] | No
             a, b = _cubic_coeffs(w - tau, p1, v1, pe, ve)
             return b - U
 
-        def residual_many(tau):
-            v1 = vs + U * tau
-            p1 = ps + vs * tau + 0.5 * U * tau * tau
-            a, b = _cubic_coeffs_many(w - tau, p1, v1, pe, ve)
-            return b - U
-
-        tau = _bracket_brentq(residual, 1e-11, w - 1e-9, f_many=residual_many)
+        tau = _bracket_brentq(residual, 1e-11, w - 1e-9)
         if tau is not None:
             v1 = vs + U * tau
             p1 = ps + vs * tau + 0.5 * U * tau * tau
@@ -515,14 +477,7 @@ def _sat_linear(bvp: ZoneBVP, u_raw0: float, u_raw1: float) -> list[_Piece] | No
             a, b = _cubic_coeffs(tau, ps, vs, p1, v1)
             return (b + a * tau) - U
 
-        def residual_many(tau):
-            dur = w - tau
-            v1 = ve - U * dur
-            p1 = pe - ve * dur + 0.5 * U * dur * dur
-            a, b = _cubic_coeffs_many(tau, ps, vs, p1, v1)
-            return (b + a * tau) - U
-
-        tau = _bracket_brentq(residual, 1e-9, w - 1e-11, f_many=residual_many)
+        tau = _bracket_brentq(residual, 1e-9, w - 1e-11)
         if tau is not None:
             dur = w - tau
             v1 = ve - U * dur
@@ -550,7 +505,7 @@ def _sat_linear(bvp: ZoneBVP, u_raw0: float, u_raw1: float) -> list[_Piece] | No
         p1 = ps + vs * tau1 + 0.5 * U1 * tau1 * tau1
         a = (U2 - U1) / d
         v2 = v1 + U1 * d + 0.5 * a * d * d
-        p2 = p1 + v1 * d + 0.5 * U1 * d * d + a * d**3 / 6.0
+        p2 = p1 + v1 * d + 0.5 * U1 * d * d + a * (d * d * d) / 6.0
         rem = w - tau2
         return p2 + v2 * rem + 0.5 * U2 * rem * rem - pe
 
@@ -582,7 +537,7 @@ def _cruise_pieces(bvp: ZoneBVP, v_pin: float, A: float) -> tuple[list[_Piece], 
     w = bvp.window
     vs, ve = bvp.start.speed, bvp.end.speed
 
-    def ramp(dv: float, into_cruise: bool) -> tuple[float, list[_Piece]] | None:
+    def ramp(dv: float, into_cruise: bool) -> tuple[float, list[_Piece]]:
         # dv: signed speed change of the ramp
         if abs(dv) < 1e-14:
             return 0.0, []
@@ -609,12 +564,8 @@ def _cruise_pieces(bvp: ZoneBVP, v_pin: float, A: float) -> tuple[list[_Piece], 
             [_Piece("cubic", t_cub, 0.0, sgn * A), _Piece("const", t_bang, sgn * ub, 0.0)],
         )
 
-    rin = ramp(v_pin - vs, into_cruise=True)
-    rout = ramp(ve - v_pin, into_cruise=False)
-    if rin is None or rout is None:
-        return None
-    t_in, pieces_in = rin
-    t_out, pieces_out = rout
+    t_in, pieces_in = ramp(v_pin - vs, into_cruise=True)
+    t_out, pieces_out = ramp(ve - v_pin, into_cruise=False)
     t_cruise = w - t_in - t_out
     if t_cruise < -1e-10:
         return None
@@ -628,33 +579,47 @@ def _cruise_pieces(bvp: ZoneBVP, v_pin: float, A: float) -> tuple[list[_Piece], 
 
 
 def _min_cruise_slope(bvp: ZoneBVP, v_pin: float) -> float:
-    """Smallest control slope whose ramps fit the window, by bisection.
+    """Smallest control slope whose ramps fit the window, in closed form.
 
-    The bracket halves until its midpoint rounds onto an end (at most 200
-    steps).  An end's fit is already known, so from there every further
-    step would leave both ends as they are.
+    With x = 1/sqrt(A), a ramp changing speed by d under the bound ub lasts
+    sqrt(2d)*x while its peak control stays within ub (x >= sqrt(2d)/ub) and
+    d/ub + ub*x^2/2 once it saturates.  The total is continuous and rising
+    in x and a quadratic between the breakpoints, so t_in + t_out = w is one
+    quadratic root; _cruise_pieces' fit test lets the cruise run 1e-10
+    short, which absorbs the rounding.  Slopes below 1e-9 are raised to it;
+    ramps that need more than 1e9, or never fit, raise PiecingDiverged.
     """
+    lim = bvp.limits
+    # per ramp: d, ub, sqrt(2d) and its breakpoint in x
+    ramps = []
+    for dv in (v_pin - bvp.start.speed, bvp.end.speed - v_pin):
+        if abs(dv) >= 1e-14:
+            ub = lim.u_max if dv > 0 else -lim.u_min
+            r = math.sqrt(2.0 * abs(dv))
+            ramps.append((abs(dv), ub, r, r / ub))
+    if not ramps:
+        return 1e-9
 
-    def fits(A: float) -> bool:
-        return _cruise_pieces(bvp, v_pin, A) is not None
+    def ramps_last(x: float) -> float:
+        return sum(r * x if x >= xb else d / ub + 0.5 * ub * x * x for d, ub, r, xb in ramps)
 
-    lo, hi = 1e-9, 1e-9
-    while not fits(hi):
-        hi *= 2.0
-        if hi > 1e9:
-            raise PiecingDiverged(f"zone {bvp.zone_id}: cruise ramps never fit the window")
-    if fits(lo):
-        return lo
-    a_lo, a_hi = lo, hi
-    for _ in range(200):
-        mid = 0.5 * (a_lo + a_hi)
-        if not a_lo < mid < a_hi:
-            break
-        if fits(mid):
-            a_hi = mid
+    # the root lies past the last breakpoint whose ramps still fit: ramps
+    # breaking there or earlier run unsaturated, the rest saturate
+    x_lo = max((xb for *_, xb in ramps if ramps_last(xb) <= bvp.window), default=0.0)
+    c2, c1, c0 = 0.0, 0.0, -bvp.window
+    for d, ub, r, xb in ramps:
+        if xb <= x_lo:
+            c1 += r
         else:
-            a_lo = mid
-    return a_hi
+            c2 += 0.5 * ub
+            c0 += d / ub
+    slope = math.inf
+    if c0 < 0.0:
+        x = -2.0 * c0 / (c1 + math.sqrt(c1 * c1 - 4.0 * c2 * c0))
+        slope = 1.0 / (x * x)
+    if slope > 1e9:
+        raise PiecingDiverged(f"zone {bvp.zone_id}: cruise ramps never fit the window")
+    return max(slope, 1e-9)
 
 
 def _with_cruise(bvp: ZoneBVP, v_pin: float) -> list[_Piece]:
@@ -884,6 +849,36 @@ def _exit_trough(
     return trough(m_c, margin_at(inner)[0])
 
 
+_STEP_CHUNK = 256  # RK4 steps per batched leader evaluation
+
+
+def _leader_on_steps(leader, t1: float, t_end: float, grid_dt: float):
+    """The RK4 step grid from t1 toward t_end, with the leader on it.
+
+    Yields (t, dt, v_leader(t), v_leader(t + dt/2), p_leader(t + dt),
+    v_leader(t + dt)) per step.  Steps are grid_dt long except a short last
+    one, each starting where the previous one's t + dt ended, with at most
+    ceil((t_end - t1)/grid_dt) + 1 of them.  The leader is evaluated on
+    _STEP_CHUNK steps' ends and midpoints per batched call; trajectory
+    evaluation is elementwise, so each value equals a per-step call bit
+    for bit, and a caller that stops early wastes less than one chunk.
+    """
+    max_steps = int(math.ceil((t_end - t1) / grid_dt)) + 1
+    nodes = [t1]
+    while max_steps > 0 and nodes[-1] < t_end - grid_dt * 0.5:
+        steps = []
+        while len(steps) < min(_STEP_CHUNK, max_steps) and nodes[-1] < t_end - grid_dt * 0.5:
+            steps.append(min(grid_dt, t_end - nodes[-1]))
+            nodes.append(nodes[-1] + steps[-1])
+        max_steps -= len(steps)
+        t_nodes = np.asarray(nodes)
+        p_l, v_l, _ = (x.tolist() for x in leader.eval_many(t_nodes))
+        v_mid = leader.eval_many(t_nodes[:-1] + np.asarray(steps) / 2)[1].tolist()
+        for i, dt in enumerate(steps):
+            yield nodes[i], dt, v_l[i], v_mid[i], p_l[i + 1], v_l[i + 1]
+        nodes = nodes[-1:]
+
+
 def follow_arc(
     t1: float,
     state: tuple[float, float],
@@ -913,8 +908,7 @@ def follow_arc(
     margin at dt = 1 ms, tol = 5e-7, computed by a bound-screened scan that
     returns the same float, so the exit and the skip after a rejected
     candidate (which reads that worst margin) are those of the full scan.
-    The leader is evaluated twice per integration step, at the midpoint and
-    the end; the start reuses the previous step's end.
+    The leader is evaluated a chunk of steps at a time (_leader_on_steps).
     """
     p1, v1 = state
     pl1, vl, _ul = leader.eval(t1)
@@ -925,7 +919,7 @@ def follow_arc(
     ps = [p1]
     vs = [v1]
     us = [u]
-    t, p, v = t1, p1, v1
+    v = v1
 
     lim = bvp.limits
     # residual tangency margin, carried so the arc starts exactly at p1
@@ -975,23 +969,15 @@ def follow_arc(
         return True, tau
 
     next_test = t1
-    max_steps = int(math.ceil((bvp.t_end - t1) / grid_dt)) + 1
-    vl_t = vl  # leader speed at t, carried over from the previous step's end
-    for _ in range(max_steps):
-        if t >= bvp.t_end - grid_dt * 0.5:
-            break
-        dt = min(grid_dt, bvp.t_end - t)
-        vl_mid = leader.eval(t + dt / 2)[1]
-        pl_t, vl_end, _ = leader.eval(t + dt)
+    for t, dt, vl_t, vl_mid, pl_end, vl_end in _leader_on_steps(leader, t1, bvp.t_end, grid_dt):
         k1 = (vl_t - v) / phi
         k2 = (vl_mid - (v + dt / 2 * k1)) / phi
         k3 = (vl_mid - (v + dt / 2 * k2)) / phi
         k4 = (vl_end - (v + dt * k3)) / phi
         v += dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
         t += dt
-        vl_t = vl_end
-        p = (pl_t - leader_anchor + follower_anchor) - gamma - phi * v - m1
-        u = (vl_t - v) / phi
+        p = (pl_end - leader_anchor + follower_anchor) - gamma - phi * v - m1
+        u = (vl_end - v) / phi
         ts.append(t)
         ps.append(p)
         vs.append(v)

@@ -293,7 +293,7 @@ def test_fifo_repair_is_pinned():
     assert (rec.vehicle_id, zone.zone_id, [a.label for a in remainder]) == (19, 22, ["cubic"])
     assert (follow.t0, follow.t1) == pytest.approx((23.2166391193, 23.9696391193), abs=1e-9)
     digest = hashlib.sha256(" ".join(float(x).hex() for x in vals).encode()).hexdigest()
-    assert digest == "7401d05725bd1da78e3348b31164a29e7dbb31b4eb4144242cd09dcf3d354460"
+    assert digest == "4da472ecfb535b5b752f84ef8d77f570e3c730c823dfbeee13c0e215e4a906cd"
 
 
 @pytest.mark.xfail(

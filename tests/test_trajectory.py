@@ -27,7 +27,6 @@ from corridor.trajectory import (
     ZoneTrajectory,
     _cruise_pieces,
     _cubic_coeffs,
-    _cubic_coeffs_many,
     _cubic_speed_violation,
     _exit_trough,
     _min_cruise_slope,
@@ -429,6 +428,47 @@ def test_follow_arc_exits_quickly_with_clearance():
 
 
 
+def reference_follow_samples(t1, p1, v1, leader, n_steps, gamma, phi, grid_dt=1e-3):
+    """follow_arc's RK4 samples stepped one at a time: the leader evaluated
+    per step at the midpoint and the end, the end carried to the next step."""
+    pl1, vl_t, _ = leader.eval(t1)
+    m1 = pl1 - p1 - gamma - phi * v1
+    out = [(t1, p1, v1, (vl_t - v1) / phi)]
+    t, v = t1, v1
+    for _ in range(n_steps):
+        dt = grid_dt
+        vl_mid = leader.eval(t + dt / 2)[1]
+        pl_t, vl_end, _ = leader.eval(t + dt)
+        k1 = (vl_t - v) / phi
+        k2 = (vl_mid - (v + dt / 2 * k1)) / phi
+        k3 = (vl_mid - (v + dt / 2 * k2)) / phi
+        k4 = (vl_end - (v + dt * k3)) / phi
+        v += dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        t += dt
+        vl_t = vl_end
+        out.append((t, pl_t - gamma - phi * v - m1, v, (vl_t - v) / phi))
+    return [np.asarray(col) for col in zip(*out)]
+
+
+def test_follow_arc_samples_equal_per_step_leader_evaluation_bitwise():
+    # the leader itself rides a follow arc, then its remainder; the
+    # follower reaches tangency on that follow arc and tracks through it
+    lead = _leader_decel_then_accel()
+    bvp = ZoneBVP(9, 0.0, 6.0, BoundaryState(95.0, 14.0), BoundaryState(172.0, 13.0), LIM)
+    arc, _tau2, info = follow_arc(0.0, (95.0, 14.0), lead, 0.0, 0.0, bvp, GAMMA, PHI)
+    tracked = ZoneTrajectory(9, (arc,) + info["remainder"].arcs)
+    pl, vl, _ = tracked.eval(0.5)
+    v1 = vl + 1.0
+    p1 = pl - GAMMA - PHI * v1
+    bvp2 = ZoneBVP(9, 0.5, 7.0, BoundaryState(p1, v1), BoundaryState(p1 + 80.0, 13.0), LIM)
+    arc2, _tau, _info = follow_arc(0.5, (p1, v1), tracked, 0.0, 0.0, bvp2, GAMMA, PHI)
+    n_steps = len(arc2.samples[0]) - 1
+    assert n_steps > 1000 and arc2.t1 < arc.t1  # all of it behind the leader's follow arc
+    want = reference_follow_samples(0.5, p1, v1, tracked, n_steps, GAMMA, PHI)
+    for got_col, want_col in zip(arc2.samples, want):
+        assert got_col.tobytes() == want_col.tobytes()
+
+
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
@@ -714,43 +754,72 @@ def random_interior_bvps(seed, n):
         yield ZoneBVP(0, 0.0, float(rng.uniform(rel, hi)), start, end, LIM)
 
 
-def test_batched_cubic_coeffs_equal_the_scalar_solve_bitwise():
-    rng = np.random.default_rng(3)
-    w = rng.uniform(1e-6, 60.0, 200)
-    p1, v1 = rng.uniform(0.0, 500.0, 200), rng.uniform(0.0, 25.0, 200)
-    a, b = _cubic_coeffs_many(w, p1, v1, 700.0, 15.0)
-    for i in range(200):
-        assert (a[i], b[i]) == _cubic_coeffs(w[i], p1[i], v1[i], 700.0, 15.0)
+def reference_cubic_coeffs(w, ps, vs, pe, ve):
+    """The four boundary conditions solved as a 4x4 linear system."""
+    m = np.array([
+        [1.0, 0.0, 0.0, 0.0],
+        [0.0, 1.0, 0.0, 0.0],
+        [1.0, w, w * w / 2.0, w**3 / 6.0],
+        [0.0, 1.0, w, w * w / 2.0],
+    ])
+    _d, _c, b, a = np.linalg.solve(m, np.array([ps, vs, pe, ve]))
+    return float(a), float(b)
 
 
-def test_batched_junction_scan_returns_the_scalar_root(monkeypatch):
-    scans = []
+def random_cubic_systems(seed, n=200):
+    rng = np.random.default_rng(seed)
+    w = np.exp(rng.uniform(math.log(1e-6), math.log(60.0), n))
+    return w, rng.uniform(0.0, 500.0, n), rng.uniform(0.0, 25.0, n), 700.0, 15.0
 
-    def scalar_scan(f, lo, hi, n_scan=96, f_many=None):
-        scans.append(f_many is not None)
+
+def test_closed_form_cubic_coeffs_meet_the_boundary_conditions():
+    w, p1, v1, pe, ve = random_cubic_systems(3)
+    for i in range(len(w)):
+        wi, ps, vs = float(w[i]), float(p1[i]), float(v1[i])
+        a, b = _cubic_coeffs(wi, ps, vs, pe, ve)
+        ra, rb = reference_cubic_coeffs(wi, ps, vs, pe, ve)
+        assert a == pytest.approx(ra, rel=1e-9) and b == pytest.approx(rb, rel=1e-9)
+        arc = Arc("cubic", 0.0, wi, p0=ps, v0=vs, u0=b, slope=a)
+        p_end, v_end, _ = arc.end_state()
+        assert arc.eval(0.0)[:2] == (ps, vs)
+        # short windows cancel large terms: allow rounding at their scale
+        v_terms = abs(vs) + abs(b * wi) + abs(a * wi * wi / 2.0)
+        p_terms = abs(ps) + abs(vs * wi) + abs(b * wi * wi / 2.0) + abs(a * wi**3 / 6.0)
+        assert abs(p_end - pe) <= 1e-14 * p_terms and abs(v_end - ve) <= 1e-14 * v_terms
+
+
+def test_array_cubic_coeffs_equal_scalar_calls_bitwise():
+    w, p1, v1, pe, ve = random_cubic_systems(4)
+    a, b = _cubic_coeffs(w, p1, v1, pe, ve)
+    for i in range(len(w)):
+        sa, sb = _cubic_coeffs(float(w[i]), float(p1[i]), float(v1[i]), pe, ve)
+        assert (a[i].hex(), b[i].hex()) == (sa.hex(), sb.hex())
+
+
+def test_junction_scan_residuals_equal_their_scalar_calls(monkeypatch):
+    # every residual _sat_linear scans (one-sided roots and the two-bang
+    # landing) gives on the scan grid what brentq gets from it on floats
+    bracket = trajectory._bracket_brentq
+    scanned = []
+
+    def spy(f, lo, hi, n_scan=96):
+        xs = np.linspace(lo, hi, n_scan)
+        with np.errstate(all="ignore"):
+            fs = f(xs)
+        scanned.append((f.__name__, [(fx.hex(), float(f(float(x))).hex()) for x, fx in zip(xs, fs)]))
         return bracket(f, lo, hi, n_scan)
 
-    bracket = trajectory._bracket_brentq
-    seen = {"lead": 0, "tail": 0}
+    monkeypatch.setattr(trajectory, "_bracket_brentq", spy)
     for bvp in random_interior_bvps(7, 1500):
         w = bvp.window
         a, b = _cubic_coeffs(w, 0.0, bvp.start.speed, bvp.end.position, bvp.end.speed)
-        if _cubic_speed_violation(bvp, [_Piece("cubic", w, b, a)]) is not None:
-            continue
-        out0 = not LIM.u_min <= b <= LIM.u_max
-        out1 = not LIM.u_min <= b + a * w <= LIM.u_max
-        if out0 == out1:
-            continue
-        seen["lead" if out0 else "tail"] += 1
-        batched = _sat_linear(bvp, b, b + a * w)
-        monkeypatch.setattr(trajectory, "_bracket_brentq", scalar_scan)
-        scalar = _sat_linear(bvp, b, b + a * w)
-        monkeypatch.setattr(trajectory, "_bracket_brentq", bracket)
-        assert scans[0]  # the batched scan served the one-sided root
-        scans.clear()
-        key = lambda pieces: [(pc.label, pc.dur.hex(), pc.u0.hex(), pc.slope.hex()) for pc in pieces or []]
-        assert key(batched) == key(scalar)
-    assert min(seen.values()) >= 100
+        if _cubic_speed_violation(bvp, [_Piece("cubic", w, b, a)]) is None:
+            if not (LIM.u_min <= b <= LIM.u_max and LIM.u_min <= b + a * w <= LIM.u_max):
+                _sat_linear(bvp, b, b + a * w)
+    kinds = [name for name, _ in scanned]
+    assert min(kinds.count("residual"), kinds.count("landing")) >= 100
+    for _name, pairs in scanned:
+        assert all(got == want for got, want in pairs)
 
 
 def reference_min_cruise_slope(bvp, v_pin):
@@ -770,7 +839,7 @@ def reference_min_cruise_slope(bvp, v_pin):
     return hi
 
 
-def test_early_stopped_bisection_equals_200_steps():
+def test_direct_cruise_slope_is_the_fit_boundary():
     seen = 0
     for bvp in random_interior_bvps(11, 4000):
         w = bvp.window
@@ -779,5 +848,8 @@ def test_early_stopped_bisection_equals_200_steps():
         if v_pin is None:
             continue
         seen += 1
-        assert _min_cruise_slope(bvp, v_pin).hex() == reference_min_cruise_slope(bvp, v_pin).hex()
+        slope = _min_cruise_slope(bvp, v_pin)
+        assert _cruise_pieces(bvp, v_pin, slope) is not None
+        assert _cruise_pieces(bvp, v_pin, slope * (1.0 - 1e-9)) is None
+        assert slope == pytest.approx(reference_min_cruise_slope(bvp, v_pin), rel=1e-9)
     assert seen >= 50
