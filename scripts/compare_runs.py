@@ -8,12 +8,14 @@ light-traffic runs (400-1000 veh/h, seeds 1-5), 1200 veh/h seeds 1-6, Poisson
 centralized, and FIFO (18,5) and (20,5).  `corridor validate --seed 0` runs
 once per checkout as well.  Per run the script keeps the three artifacts,
 stdout with the exit code, and a repair log: every follow arc's vehicle,
-zone, start and end time.
+zone, start and end time.  The log reads both trajectory layouts: per-zone
+objects under `.zones`, and one arc chain with per-arc `zone_ids`.
 
 For each of those it prints "same" when the bytes match on every run, or the
 number of values that differ, the runs they differ in, and the largest
 relative difference.  metrics.json is compared without its wall-clock
-`solver_ms_*` fields.  The exit code is 1 when any schedules.json differs (or
+`solver_ms_*` fields.  Last it prints each checkout's `wc -l
+src/corridor/*.py` total.  The exit code is 1 when any schedules.json differs (or
 is missing on one side), else 0.
 """
 
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import glob
 import io
 import json
 import math
@@ -70,10 +73,16 @@ code = cli.main(argv)
 with open(repairs_path, "w") as f:
     for res in results:
         for rec in res.records:
-            for zone in rec.trajectory.zones if rec.repairs else ():
-                for arc in zone.arcs:
-                    if arc.label == "follow":
-                        print(rec.vehicle_id, zone.zone_id, repr(arc.t0), repr(arc.t1), file=f)
+            if not rec.repairs:
+                continue
+            traj = rec.trajectory
+            if hasattr(traj, "zones"):  # per-zone trajectories of older checkouts
+                tagged = [(z.zone_id, a) for z in traj.zones for a in z.arcs]
+            else:
+                tagged = zip(traj.zone_ids, traj.arcs)
+            for zone_id, arc in tagged:
+                if arc.label == "follow":
+                    print(rec.vehicle_id, zone_id, repr(arc.t0), repr(arc.t1), file=f)
 print("exit", code)
 """
 
@@ -209,6 +218,15 @@ def compare(old_dir: str, new_dir: str, runs: list[str]) -> bool:
     return schedules_same
 
 
+def src_lines(checkout: str) -> int:
+    """Line count of the checkout's src/corridor/*.py, as `wc -l` totals it."""
+    total = 0
+    for path in glob.glob(os.path.join(checkout, "src", "corridor", "*.py")):
+        with open(path, "rb") as f:
+            total += f.read().count(b"\n")
+    return total
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("old", help="checkout directory of the reference tree")
@@ -224,6 +242,7 @@ def main(argv=None) -> int:
             list(pool.map(lambda job: _run_one(*job), jobs))
         runs = sorted(os.listdir(sides[0]))
         same = compare(*sides, runs)
+        print(f"{'src lines':15s} {src_lines(args.old)} -> {src_lines(args.new)} (wc -l src/corridor/*.py)")
     finally:
         if not args.work:
             shutil.rmtree(work, ignore_errors=True)

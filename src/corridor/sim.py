@@ -4,9 +4,11 @@ One run processes a seeded arrival list in order.  Each vehicle gets a
 schedule under the configured policy (decentralized optimal, centralized
 joint, or first-in-first-out), falling back to reduced boundary speeds and
 then to holding at the entry when the corridor saturates.  Schedules turn
-into per-zone energy-minimal trajectories, rear-end spacing is sampled along
-every shared same-direction stretch and repaired with tracking arcs when it
-pinches, and the run aborts if any margin survives repair negative.
+into per-zone energy-minimal trajectories, joined into one zone-tagged
+Trajectory per vehicle.  Rear-end spacing is sampled along every shared
+same-direction stretch and, when it pinches, repaired by splicing a tracking
+arc and a re-solved remainder into that zone's arcs; the run aborts if any
+margin survives repair negative.
 Everything downstream of the seed is deterministic.
 """
 
@@ -16,7 +18,6 @@ import heapq
 import math
 import sys
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -33,16 +34,7 @@ from .scheduler import (
     solve_centralized,
     solve_fifo,
 )
-from .trajectory import (
-    ArcTable,
-    NoExitFound,
-    ZoneBVP,
-    ZoneTrajectory,
-    check_rear_end,
-    follow_arc,
-    sample_times,
-    solve_zone,
-)
+from .trajectory import NoExitFound, Trajectory, ZoneBVP, check_rear_end, follow_arc, solve_zone
 
 POLICIES = ("decentralized", "centralized", "fifo")
 
@@ -341,73 +333,6 @@ def generate_arrivals(config: SimConfig, net: ZoneNetwork | None = None) -> list
 
 
 @dataclass
-class VehicleTrajectory:
-    """Per-zone trajectories stitched over a vehicle's whole traversal.
-
-    Evaluation runs on one flat ArcTable over every zone's arcs in order,
-    built on first use, plus the zone id of each arc for zone lookups.
-    """
-
-    vehicle_id: int
-    zone_ids: tuple[int, ...]
-    zones: tuple[ZoneTrajectory, ...]
-
-    @property
-    def t_start(self) -> float:
-        return self.zones[0].t_start
-
-    @property
-    def t_end(self) -> float:
-        return self.zones[-1].t_end
-
-    @property
-    def energy(self) -> float:
-        return sum(z.energy for z in self.zones)
-
-    @cached_property
-    def table(self) -> ArcTable:
-        return ArcTable(tuple(a for z in self.zones for a in z.arcs))
-
-    @cached_property
-    def _arc_zone_ids(self) -> np.ndarray:
-        return np.repeat(self.zone_ids, [len(z.arcs) for z in self.zones])
-
-    def eval_many(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """State samples; past the exit the vehicle coasts at exit speed."""
-        t = np.asarray(t, dtype=float)
-        t_end = self.t_end
-        p, v, u = self.table.eval_many(np.minimum(np.maximum(t, self.t_start), t_end))
-        beyond = t > t_end
-        if beyond.any():
-            pe, ve, _ = self.zones[-1].arcs[-1].end_state()
-            p[beyond] = pe + ve * (t[beyond] - t_end)
-            v[beyond] = ve
-            u[beyond] = 0.0
-        return p, v, u
-
-    def eval(self, t: float) -> tuple[float, float, float]:
-        p, v, u = self.eval_many(np.asarray([float(t)]))
-        return float(p[0]), float(v[0]), float(u[0])
-
-    def zone_at(self, t: np.ndarray) -> np.ndarray:
-        return self._arc_zone_ids[self.table.index(np.asarray(t, dtype=float))]
-
-    def rate_pieces(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Piece per sorted time from t_start on, with per-piece bounds on
-        |dv/dt| and |dp/dt - v| (ArcTable.rate_bounds): one piece per arc,
-        plus the coast past the exit, where v' = 0 and p' = v."""
-        table, t_end = self.table, self.t_end
-        piece = np.where(t > t_end, len(table.arcs), table.index(t))
-        a, d = table.rate_bounds(t[0], min(t[-1], t_end))
-        return piece, np.append(a, 0.0), np.append(d, 0.0)
-
-    def sample(self, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        t = sample_times(self.t_start, self.t_end, dt)
-        p, v, u = self.eval_many(t)
-        return t, p, v, u
-
-
-@dataclass
 class VehicleRecord:
     vehicle_id: int
     queue_index: int
@@ -421,7 +346,7 @@ class VehicleRecord:
     bounds: tuple[ZoneBounds, ...]
     schedule: ScheduleTuple
     stats: SolveStats
-    trajectory: VehicleTrajectory | None = None
+    trajectory: Trajectory | None = None
     holds: int = 0
     repairs: int = 0
 
@@ -527,8 +452,8 @@ def synthesize_trajectory(
     entry_speed: float,
     boundary_speed: float,
     config: SimConfig,
-) -> VehicleTrajectory:
-    """Energy-minimal trajectory per zone between the scheduled times."""
+) -> Trajectory:
+    """Energy-minimal trajectory per zone between the scheduled times, joined."""
     lim = config.limits()
     offs = path.entry_offsets + (path.total_length,)
     n = len(path.zone_ids)
@@ -545,7 +470,7 @@ def synthesize_trajectory(
             lim,
         )
         zones.append(solve_zone(bvp, bounds[k]))
-    return VehicleTrajectory(schedule.vehicle_id, path.zone_ids, tuple(zones))
+    return Trajectory(sum((z.arcs for z in zones), ()), sum((z.zone_ids for z in zones), ()))
 
 
 def _shared_same_direction_zones(pa: PathSpec, pb: PathSpec) -> list[int]:
@@ -602,8 +527,8 @@ def _repair_follower(
     """
     lim = config.limits()
     k = follower.path.index_of(zone_id)
-    ztraj = follower.trajectory.zones[k]
-    t_lo, t_hi = ztraj.t_start, ztraj.t_end
+    zone_arcs = follower.trajectory.zone(zone_id)
+    t_lo, t_hi = zone_arcs[0].t0, zone_arcs[-1].t1
     l_anchor = leader.path.entry_offset(zone_id)
     f_anchor = follower.path.entry_offset(zone_id)
     viol = check_rear_end(
@@ -632,18 +557,15 @@ def _repair_follower(
         tau1 = lo
     p1, v1, _ = follower.trajectory.eval(tau1)
     offs = follower.path.entry_offsets + (follower.path.total_length,)
-    end_state = BoundaryState(offs[k + 1], ztraj.arcs[-1].end_state()[1])
+    end_state = BoundaryState(offs[k + 1], zone_arcs[-1].end_state()[1])
     bvp = ZoneBVP(zone_id, tau1, t_hi, BoundaryState(p1, v1), end_state, lim)
     arc, _tau2, info = follow_arc(
         tau1, (p1, v1), leader.trajectory, l_anchor, f_anchor, bvp, config.gamma, config.phi,
     )
-    kept = _truncate_arcs(ztraj.arcs, tau1)
+    kept = _truncate_arcs(zone_arcs, tau1)
     # splice the exact remainder the exit test validated
-    remainder = info["remainder"]
-    zones = list(follower.trajectory.zones)
-    zones[k] = ZoneTrajectory(zone_id, tuple(kept) + (arc,) + remainder.arcs)
-    follower.trajectory = VehicleTrajectory(
-        follower.vehicle_id, follower.trajectory.zone_ids, tuple(zones)
+    follower.trajectory = follower.trajectory.with_zone(
+        zone_id, tuple(kept) + (arc,) + info["remainder"].arcs
     )
     follower.repairs += 1
     return True
@@ -697,15 +619,14 @@ def enforce_rear_end(records: list[VehicleRecord], config: SimConfig) -> int:
             # _repair_follower just ran this same check on these trajectories
             continue
         repairs += 1
-        k = foll.path.index_of(z)
-        zt = foll.trajectory.zones[k]
+        zone_arcs = foll.trajectory.zone(z)
         # a tracking arc rides the spacing rule as an equality and the
         # spliced remainder is accepted strictly inside this tolerance,
         # so anything at or below it is a genuine defect
         resid = check_rear_end(
             lead.trajectory, lead.path.entry_offset(z),
             foll.trajectory, foll.path.entry_offset(z),
-            zt.t_start, zt.t_end, config.gamma, config.phi, dt=config.rear_end_dt,
+            zone_arcs[0].t0, zone_arcs[-1].t1, config.gamma, config.phi, dt=config.rear_end_dt,
             tol=1e-6,
         )
         if resid:

@@ -23,6 +23,12 @@ one-dimensional root-find:
   - the closed-form fastest or slowest profile when the window equals the
     zone's release or deadline.
 
+Every motion is one type, Trajectory: time-ordered arcs, each tagged with
+its zone.  solve_zone returns a one-zone Trajectory, a vehicle's traversal
+joins its zones' arcs, and a repair splices new arcs into one zone
+(Trajectory.with_zone).  Before its first arc a Trajectory holds its start
+state; past its last arc it coasts at its exit speed.
+
 A rear-end safety arc (follower tracking a leader under the speed-dependent
 spacing rule) is integrated numerically, with the leader evaluated on the
 step grid a chunk of steps at a time; its entry control comes from the
@@ -170,89 +176,24 @@ class Arc:
         return float(np.abs(sv).max()), float(d)
 
 
-class ArcTable:
-    """Flat table over a time-ordered arc sequence: the evaluation kernel.
+@dataclass(frozen=True, eq=False)
+class Trajectory:
+    """A time-ordered chain of arcs, each tagged with its zone.
 
-    Holds the arcs' t1 edges, their (t0, p0, v0, u0, slope) columns and the
-    indices of any sampled "follow" arcs.  One searchsorted routes a batch of
-    times to arcs (past the last edge, to the last arc); the polynomial runs
-    on gathered columns in Arc.eval_many's expression order, so values equal
-    per-arc evaluation bit for bit, and only elements inside follow arcs are
-    interpolated.  The edges are a running maximum: where piecing dust lets a
-    zone's last arc end after the next zone's first one, times in the overlap
-    stay with the earlier zone.
+    One zone's solve and a vehicle's whole traversal are both a Trajectory.
+    Before the first arc the state holds at the start; past the last arc the
+    vehicle coasts at its exit speed.  Evaluation runs on one flat table
+    built on first use: the arcs' t1 edges and their (t0, p0, v0, u0, slope)
+    columns.  One searchsorted routes a batch of times to arcs; the
+    polynomial runs on gathered columns in Arc.eval_many's expression order,
+    so values equal per-arc evaluation bit for bit, and only elements inside
+    follow arcs are interpolated.  The edges are a running maximum: where
+    piecing dust lets a zone's last arc end after the next zone's first one,
+    times in the overlap stay with the earlier zone.
     """
 
-    def __init__(self, arcs: tuple[Arc, ...]):
-        self.arcs = arcs
-        self.edges = np.maximum.accumulate(np.asarray([a.t1 for a in arcs]))
-        self.t0, self.p0, self.v0, self.u0, self.slope = (
-            np.asarray(col) for col in zip(*((a.t0, a.p0, a.v0, a.u0, a.slope) for a in arcs))
-        )
-        self.follow = [k for k, a in enumerate(arcs) if a.label == "follow"]
-
-    def index(self, t: np.ndarray) -> np.ndarray:
-        """Arc index per time: the first arc whose end is at or after it."""
-        return np.minimum(np.searchsorted(self.edges, t, side="left"), len(self.arcs) - 1)
-
-    def rate_bounds(self, t_lo: float, t_hi: float) -> tuple[np.ndarray, np.ndarray]:
-        """Per arc, bounds A on |dv/dt| and D on |dp/dt - v| over the times
-        in [t_lo, t_hi] that index() routes to it.
-
-        A polynomial arc has p' = v exactly (D = 0) and a linear u, so |u|
-        peaks at an end of its routed range.  A follow arc takes its sample
-        bounds (Arc.follow_rates); routed times outside its samples, where
-        np.interp holds p and v constant, get no finite bound.
-        """
-        r0 = np.maximum(np.concatenate(([-math.inf], self.edges[:-1])), t_lo)
-        r1 = np.minimum(self.edges, t_hi)
-        r1[-1] = t_hi
-        a = np.maximum(
-            np.abs(self.u0 + self.slope * (r0 - self.t0)),
-            np.abs(self.u0 + self.slope * (r1 - self.t0)),
-        )
-        d = np.zeros(len(a))
-        for k in self.follow:
-            ts = self.arcs[k].samples[0]
-            if r0[k] <= r1[k] and (r0[k] < ts[0] or r1[k] > ts[-1]):
-                a[k] = d[k] = math.inf
-            else:
-                a[k], d[k] = self.arcs[k].follow_rates
-        return a, d
-
-    def eval_many(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        idx = self.index(t)
-        u0, slope, v0 = self.u0[idx], self.slope[idx], self.v0[idx]
-        s = t - self.t0[idx]
-        u = u0 + slope * s
-        v = v0 + u0 * s + 0.5 * slope * s * s
-        p = self.p0[idx] + v0 * s + 0.5 * u0 * s * s + slope * s**3 / 6.0
-        for k in self.follow:
-            m = idx == k
-            if m.any():
-                p[m], v[m], u[m] = self.arcs[k].eval_many(t[m])
-        return p, v, u
-
-
-def sample_times(t_start: float, t_end: float, dt: float) -> np.ndarray:
-    """Times every dt from t_start, with t_end appended unless the grid hits it."""
-    n = int(math.floor((t_end - t_start) / dt + 1e-9))
-    t = t_start + np.arange(n + 1) * dt
-    if t_end - t[-1] > 1e-9:
-        t = np.append(t, t_end)
-    return t
-
-
-@dataclass(eq=False)
-class ZoneTrajectory:
-    """Contiguous arcs covering one zone's scheduled window.
-
-    Evaluation goes through the zone's ArcTable, built on first use; times
-    outside the window extend the first or last arc's polynomial.
-    """
-
-    zone_id: int
     arcs: tuple[Arc, ...]
+    zone_ids: tuple[int, ...]  # the zone of each arc
 
     @property
     def t_start(self) -> float:
@@ -267,25 +208,107 @@ class ZoneTrajectory:
         return sum(a.energy for a in self.arcs)
 
     @cached_property
-    def table(self) -> ArcTable:
-        return ArcTable(self.arcs)
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        """(edges, t0, p0, v0, u0, slope), one entry per arc."""
+        t1, *cols = (
+            np.asarray(col) for col in zip(*((a.t1, a.t0, a.p0, a.v0, a.u0, a.slope) for a in self.arcs))
+        )
+        return (np.maximum.accumulate(t1), *cols)
+
+    @cached_property
+    def _follow(self) -> list[int]:
+        return [k for k, a in enumerate(self.arcs) if a.label == "follow"]
+
+    def index(self, t: np.ndarray) -> np.ndarray:
+        """Arc index per time: the first arc whose end is at or after it."""
+        return np.minimum(np.searchsorted(self._columns[0], t, side="left"), len(self.arcs) - 1)
+
+    def eval_many(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        t = np.asarray(t, dtype=float)
+        t_start, t_end = self.t_start, self.t_end
+        # clamping costs two array passes, and most batches lie inside
+        outside = t.size > 0 and (t.min() < t_start or t.max() > t_end)
+        tc = np.minimum(np.maximum(t, t_start), t_end) if outside else t
+        idx = self.index(tc)
+        _, t0, p0, v0, u0, slope = self._columns
+        u0, slope, v0 = u0[idx], slope[idx], v0[idx]
+        s = tc - t0[idx]
+        u = u0 + slope * s
+        v = v0 + u0 * s + 0.5 * slope * s * s
+        p = p0[idx] + v0 * s + 0.5 * u0 * s * s + slope * s**3 / 6.0
+        for k in self._follow:
+            m = idx == k
+            if m.any():
+                p[m], v[m], u[m] = self.arcs[k].eval_many(tc[m])
+        if outside:
+            beyond = t > t_end
+            if beyond.any():
+                pe, ve, _ = self.arcs[-1].end_state()
+                p[beyond] = pe + ve * (t[beyond] - t_end)
+                v[beyond] = ve
+                u[beyond] = 0.0
+        return p, v, u
 
     def eval(self, t: float) -> tuple[float, float, float]:
         p, v, u = self.eval_many(np.asarray([float(t)]))
         return float(p[0]), float(v[0]), float(u[0])
 
-    def eval_many(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self.table.eval_many(np.asarray(t, dtype=float))
-
     def sample(self, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        t = sample_times(self.t_start, self.t_end, dt)
-        p, v, u = self.eval_many(t)
-        return t, p, v, u
+        """The state every dt from t_start, and at t_end unless the grid hits it."""
+        n = int(math.floor((self.t_end - self.t_start) / dt + 1e-9))
+        t = self.t_start + np.arange(n + 1) * dt
+        if self.t_end - t[-1] > 1e-9:
+            t = np.append(t, self.t_end)
+        return (t, *self.eval_many(t))
+
+    def zone_at(self, t: np.ndarray) -> np.ndarray:
+        return np.asarray(self.zone_ids)[self.index(np.asarray(t, dtype=float))]
+
+    def _span(self, z: int) -> slice:
+        lo = self.zone_ids.index(z)
+        return slice(lo, lo + self.zone_ids.count(z))
+
+    def zone(self, z: int) -> tuple[Arc, ...]:
+        """Zone z's arcs, in time order."""
+        return self.arcs[self._span(z)]
+
+    def with_zone(self, z: int, arcs: tuple[Arc, ...]) -> Trajectory:
+        """This trajectory with zone z's arcs replaced by arcs."""
+        s = self._span(z)
+        return Trajectory(
+            self.arcs[: s.start] + arcs + self.arcs[s.stop :],
+            self.zone_ids[: s.start] + (z,) * len(arcs) + self.zone_ids[s.stop :],
+        )
 
     def rate_pieces(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Piece per sorted time, with per-piece bounds on |dv/dt| and
-        |dp/dt - v| over [t[0], t[-1]]; a piece is one arc (ArcTable.rate_bounds)."""
-        return (self.table.index(t), *self.table.rate_bounds(t[0], t[-1]))
+        """Piece per sorted time from t_start on, with per-piece bounds A on
+        |dv/dt| and D on |dp/dt - v| over [t[0], t[-1]].
+
+        Piece k < len(arcs) is arc k over the times index() routes to it;
+        piece len(arcs) is the coast past the exit, where v' = 0 and p' = v.
+        A polynomial arc has p' = v exactly (D = 0) and a linear u, so |u|
+        peaks at an end of its routed range.  A follow arc takes its sample
+        bounds (Arc.follow_rates); routed times outside its samples, where
+        np.interp holds p and v constant, get no finite bound.
+        """
+        edges, t0, _, _, u0, slope = self._columns
+        n, t_end = len(self.arcs), self.t_end
+        piece = self.index(t)
+        if t[-1] > t_end:  # t is sorted, so only a tail can coast
+            piece[t > t_end] = n
+        t_lo, t_hi = t[0], min(t[-1], t_end)
+        r0 = np.maximum(np.concatenate(([-math.inf], edges[:-1])), t_lo)
+        r1 = np.minimum(edges, t_hi)
+        r1[-1] = t_hi
+        a, d = np.zeros(n + 1), np.zeros(n + 1)
+        a[:n] = np.maximum(np.abs(u0 + slope * (r0 - t0)), np.abs(u0 + slope * (r1 - t0)))
+        for k in self._follow:
+            ts = self.arcs[k].samples[0]
+            if r0[k] <= r1[k] and (r0[k] < ts[0] or r1[k] > ts[-1]):
+                a[k] = d[k] = math.inf
+            else:
+                a[k], d[k] = self.arcs[k].follow_rates
+        return piece, a, d
 
     def speed_extrema(self) -> tuple[float, float]:
         los, his = zip(*(a.speed_extrema() for a in self.arcs))
@@ -354,7 +377,7 @@ class _Piece:
     slope: float
 
 
-def _assemble(bvp: ZoneBVP, pieces: list[_Piece]) -> ZoneTrajectory:
+def _assemble(bvp: ZoneBVP, pieces: list[_Piece]) -> Trajectory:
     arcs = []
     t = bvp.t_start
     p, v = bvp.start.position, bvp.start.speed
@@ -375,10 +398,10 @@ def _assemble(bvp: ZoneBVP, pieces: list[_Piece]) -> ZoneTrajectory:
         # float dust from piecing; a window matched to a release or deadline
         # within the dispatch tolerance keeps that profile's own end time
         arcs[-1] = Arc(last.label, last.t0, bvp.t_end, p0=last.p0, v0=last.v0, u0=last.u0, slope=last.slope)
-    return ZoneTrajectory(bvp.zone_id, tuple(arcs))
+    return Trajectory(tuple(arcs), (bvp.zone_id,) * len(arcs))
 
 
-def _verify(bvp: ZoneBVP, traj: ZoneTrajectory) -> ZoneTrajectory:
+def _verify(bvp: ZoneBVP, traj: Trajectory) -> Trajectory:
     p_end, v_end, _ = traj.arcs[-1].end_state()
     if abs(p_end - bvp.end.position) > BOUND_TOL or abs(v_end - bvp.end.speed) > BOUND_TOL:
         raise PiecingDiverged(
@@ -675,7 +698,7 @@ def _cubic_speed_violation(bvp: ZoneBVP, pieces: list[_Piece]) -> float | None:
     return None
 
 
-def solve_zone(bvp: ZoneBVP, bounds: ZoneBounds) -> ZoneTrajectory:
+def solve_zone(bvp: ZoneBVP, bounds: ZoneBounds) -> Trajectory:
     """Energy-minimal trajectory for one zone inside its scheduled window.
 
     Window equal to the release (or deadline) within 1e-7 reuses the
@@ -726,9 +749,9 @@ def solve_zone(bvp: ZoneBVP, bounds: ZoneBounds) -> ZoneTrajectory:
 
 
 def check_rear_end(
-    leader,
+    leader: Trajectory,
     leader_anchor: float,
-    follower,
+    follower: Trajectory,
     follower_anchor: float,
     t_lo: float,
     t_hi: float,
@@ -768,9 +791,9 @@ _SCREEN_SLACK = 1e-6  # m: covers float rounding in margins and the bound
 
 
 def _exit_trough(
-    leader,
+    leader: Trajectory,
     leader_anchor: float,
-    follower,
+    follower: Trajectory,
     follower_anchor: float,
     t_lo: float,
     t_hi: float,
@@ -852,7 +875,7 @@ def _exit_trough(
 _STEP_CHUNK = 256  # RK4 steps per batched leader evaluation
 
 
-def _leader_on_steps(leader, t1: float, t_end: float, grid_dt: float):
+def _leader_on_steps(leader: Trajectory, t1: float, t_end: float, grid_dt: float):
     """The RK4 step grid from t1 toward t_end, with the leader on it.
 
     Yields (t, dt, v_leader(t), v_leader(t + dt/2), p_leader(t + dt),
@@ -882,7 +905,7 @@ def _leader_on_steps(leader, t1: float, t_end: float, grid_dt: float):
 def follow_arc(
     t1: float,
     state: tuple[float, float],
-    leader,
+    leader: Trajectory,
     leader_anchor: float,
     follower_anchor: float,
     bvp: ZoneBVP,

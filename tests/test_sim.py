@@ -231,14 +231,14 @@ def reverify_rear_end(res):
         for b in recs[i + 1 :]:
             for z in _shared_same_direction_zones(a.path, b.path):
                 lead, foll = (a, b) if a.schedule.time_at(z) <= b.schedule.time_at(z) else (b, a)
-                zt = foll.trajectory.zones[foll.path.index_of(z)]
+                zone_arcs = foll.trajectory.zone(z)
                 found += check_rear_end(
                     lead.trajectory,
                     lead.path.entry_offset(z),
                     foll.trajectory,
                     foll.path.entry_offset(z),
-                    zt.t_start,
-                    zt.t_end,
+                    zone_arcs[0].t0,
+                    zone_arcs[-1].t1,
                     res.config.gamma,
                     res.config.phi,
                     dt=0.01,
@@ -257,8 +257,9 @@ def test_moderate_run_invariants():
         assert abs(pe - rec.path.total_length) <= 1e-6
         assert abs(ve - rec.boundary_speed) <= 1e-7
         # zone handoffs sit exactly on the cumulative offsets
-        for k, zt in enumerate(rec.trajectory.zones):
-            p0, v0, _ = rec.trajectory.zones[k].eval(zt.t_start)
+        for k, z in enumerate(rec.path.zone_ids):
+            first = rec.trajectory.zone(z)[0]
+            p0, v0, _ = first.eval(first.t0)
             assert abs(p0 - rec.path.entry_offsets[k]) <= 1e-6
             if k > 0:
                 assert abs(v0 - rec.boundary_speed) <= 1e-7
@@ -283,14 +284,16 @@ def test_fifo_repair_is_pinned():
     must keep choosing the same exit, bit for bit."""
     res = run(small_poisson(20, 5, policy="fifo"))
     rec = next(r for r in res.records if r.repairs)
-    zone = next(z for z in rec.trajectory.zones if any(a.label == "follow" for a in z.arcs))
-    k = next(i for i, a in enumerate(zone.arcs) if a.label == "follow")
-    follow, remainder = zone.arcs[k], zone.arcs[k + 1 :]
+    traj = rec.trajectory
+    zone_id = next(z for z, a in zip(traj.zone_ids, traj.arcs) if a.label == "follow")
+    arcs = traj.zone(zone_id)
+    k = next(i for i, a in enumerate(arcs) if a.label == "follow")
+    follow, remainder = arcs[k], arcs[k + 1 :]
     us = follow.samples[3]
     vals = [follow.t0, follow.t1, us[0], us[-1]]
     for a in remainder:
         vals += [a.t0, a.t1, a.p0, a.v0, a.u0, a.slope]
-    assert (rec.vehicle_id, zone.zone_id, [a.label for a in remainder]) == (19, 22, ["cubic"])
+    assert (rec.vehicle_id, zone_id, [a.label for a in remainder]) == (19, 22, ["cubic"])
     assert (follow.t0, follow.t1) == pytest.approx((23.2166391193, 23.9696391193), abs=1e-9)
     digest = hashlib.sha256(" ".join(float(x).hex() for x in vals).encode()).hexdigest()
     assert digest == "4da472ecfb535b5b752f84ef8d77f570e3c730c823dfbeee13c0e215e4a906cd"
@@ -315,14 +318,15 @@ def test_repaired_vehicles_respect_u_min(seed):
 def reference_vehicle_eval(traj, t):
     """Clamp into the traversal, route by zone end time then arc end time,
     evaluate that arc alone, and coast at the exit speed past the end."""
+    zones = [traj.zone(z) for z in dict.fromkeys(traj.zone_ids)]
     out = np.empty((3, len(t)))
     for i, ti in enumerate(t):
         tc = min(max(ti, traj.t_start), traj.t_end)
-        zone = next((z for z in traj.zones if tc <= z.t_end), traj.zones[-1])
-        arc = next((a for a in zone.arcs if tc <= a.t1), zone.arcs[-1])
+        arcs = next((arcs for arcs in zones if tc <= arcs[-1].t1), zones[-1])
+        arc = next((a for a in arcs if tc <= a.t1), arcs[-1])
         out[:, i] = [x[0] for x in arc.eval_many(np.asarray([tc]))]
         if ti > traj.t_end:
-            pe, ve, _ = traj.zones[-1].arcs[-1].end_state()
+            pe, ve, _ = traj.arcs[-1].end_state()
             out[:, i] = (pe + ve * (ti - traj.t_end), ve, 0.0)
     return out
 
@@ -333,7 +337,8 @@ def test_vehicle_kernel_matches_per_arc_eval_bitwise():
     assert repaired
     for rec in repaired + res.records[:3]:
         traj = rec.trajectory
-        arcs = [a for z in traj.zones for a in z.arcs]
+        arcs = traj.arcs
+        assert traj.zone_ids == tuple(z for z in rec.path.zone_ids for _ in traj.zone(z))
         follow = [a.samples[0][1:200:7] + 2e-4 for a in arcs if a.label == "follow"]
         assert follow or rec.repairs == 0
         t = np.concatenate(
@@ -346,13 +351,17 @@ def test_vehicle_kernel_matches_per_arc_eval_bitwise():
                 [traj.t_end, traj.t_end + 1e-9, traj.t_end + 4.0],
             ]
         )
-        p, v, u = traj.eval_many(t)
-        ref = reference_vehicle_eval(traj, t)
-        assert np.array_equal(p, ref[0])
-        assert np.array_equal(v, ref[1])
-        assert np.array_equal(u, ref[2])
-        ends = [z.t_end for z in traj.zones]
-        zone_ref = [traj.zone_ids[next((k for k, e in enumerate(ends) if ti <= e), -1)] for ti in t]
+        # the whole traversal alone, and with times before and after it
+        within = t[(t >= traj.t_start) & (t <= traj.t_end)]
+        assert len(within) == len(t) - 3
+        for times in (within, t):
+            p, v, u = traj.eval_many(times)
+            ref = reference_vehicle_eval(traj, times)
+            assert np.array_equal(p, ref[0])
+            assert np.array_equal(v, ref[1])
+            assert np.array_equal(u, ref[2])
+        ends = [traj.zone(z)[-1].t1 for z in rec.path.zone_ids]
+        zone_ref = [rec.path.zone_ids[next((k for k, e in enumerate(ends) if ti <= e), -1)] for ti in t]
         assert traj.zone_at(t).tolist() == zone_ref
 
 

@@ -16,15 +16,15 @@ from hypothesis import strategies as st
 from corridor import trajectory
 from corridor.kinematics import BoundaryState, InfeasibleBoundary, Limits, deadline, release_time
 from corridor.scheduler import ZoneBounds
-from corridor.sim import SimConfig, VehicleTrajectory, run
+from corridor.sim import SimConfig, run
 from corridor.trajectory import (
     _SCREEN_STRIDE,
     Arc,
     NoExitFound,
     PiecingDiverged,
     SingularWindow,
+    Trajectory,
     ZoneBVP,
-    ZoneTrajectory,
     _cruise_pieces,
     _cubic_coeffs,
     _cubic_speed_violation,
@@ -52,7 +52,7 @@ def bounds_for(length, vs, ve, lim=LIM):
     return ZoneBounds(rel.time, None if ddl.is_unbounded() else ddl.time)
 
 
-def assert_invariants(bvp: ZoneBVP, traj: ZoneTrajectory):
+def assert_invariants(bvp: ZoneBVP, traj: Trajectory):
     p0, v0, _ = traj.arcs[0].eval(traj.t_start)
     assert abs(p0 - bvp.start.position) <= TOL
     assert abs(v0 - bvp.start.speed) <= TOL
@@ -337,8 +337,12 @@ def test_polynomial_energy_closed_form(a, b, w):
 # ---------------------------------------------------------------------------
 
 
+def one_zone(*arcs, zone=0):
+    return Trajectory(arcs, (zone,) * len(arcs))
+
+
 def const_speed_traj(p0, v, t0, t1):
-    return ZoneTrajectory(0, (Arc("cruise", t0, t1, p0=p0, v0=v, u0=0.0, slope=0.0),))
+    return one_zone(Arc("cruise", t0, t1, p0=p0, v0=v, u0=0.0, slope=0.0))
 
 
 def test_check_rear_end_clear_and_violating():
@@ -380,7 +384,7 @@ def _leader_decel_then_accel():
     a1 = Arc("const", 0.0, 2.0, p0=102.8, v0=14.0, u0=-1.0, slope=0.0)
     p1, v1, _ = a1.end_state()
     a2 = Arc("const", 2.0, 6.0, p0=p1, v0=v1, u0=0.5, slope=0.0)
-    return ZoneTrajectory(0, (a1, a2))
+    return one_zone(a1, a2)
 
 
 def follower_closed_form(t):
@@ -412,7 +416,7 @@ def test_follow_arc_matches_exponential_closed_form():
 
 def test_follow_arc_no_exit_when_target_unreachable():
     a1 = Arc("const", 0.0, 6.0, p0=102.8, v0=14.0, u0=-1.0, slope=0.0)
-    lead = ZoneTrajectory(0, (a1,))
+    lead = one_zone(a1)
     bvp = ZoneBVP(9, 0.0, 6.0, BoundaryState(95.0, 14.0), BoundaryState(179.0, 14.0), LIM)
     with pytest.raises(NoExitFound):
         follow_arc(0.0, (95.0, 14.0), lead, 0.0, 0.0, bvp, GAMMA, PHI)
@@ -420,7 +424,7 @@ def test_follow_arc_no_exit_when_target_unreachable():
 
 def test_follow_arc_exits_quickly_with_clearance():
     a1 = Arc("cruise", 0.0, 6.0, p0=140.0, v0=15.0, u0=0.0, slope=0.0)
-    lead = ZoneTrajectory(0, (a1,))
+    lead = one_zone(a1)
     bvp = ZoneBVP(9, 0.0, 6.0, BoundaryState(95.0, 15.0), BoundaryState(185.0, 15.0), LIM)
     arc, tau2, _info = follow_arc(0.0, (95.0, 15.0), lead, 0.0, 0.0, bvp, GAMMA, PHI)
     assert tau2 <= 0.002
@@ -456,7 +460,7 @@ def test_follow_arc_samples_equal_per_step_leader_evaluation_bitwise():
     lead = _leader_decel_then_accel()
     bvp = ZoneBVP(9, 0.0, 6.0, BoundaryState(95.0, 14.0), BoundaryState(172.0, 13.0), LIM)
     arc, _tau2, info = follow_arc(0.0, (95.0, 14.0), lead, 0.0, 0.0, bvp, GAMMA, PHI)
-    tracked = ZoneTrajectory(9, (arc,) + info["remainder"].arcs)
+    tracked = one_zone(arc, *info["remainder"].arcs, zone=9)
     pl, vl, _ = tracked.eval(0.5)
     v1 = vl + 1.0
     p1 = pl - GAMMA - PHI * v1
@@ -476,7 +480,7 @@ def test_follow_arc_samples_equal_per_step_leader_evaluation_bitwise():
 )
 def test_follow_arc_control_respects_u_min_behind_slower_leader():
     # tangency behind a leader 4 m/s slower: entry control is (10 - 14)/0.2
-    lead = ZoneTrajectory(0, (Arc("cruise", 0.0, 8.0, p0=102.8, v0=10.0),))
+    lead = one_zone(Arc("cruise", 0.0, 8.0, p0=102.8, v0=10.0))
     bvp = ZoneBVP(9, 0.0, 6.0, BoundaryState(95.0, 14.0), BoundaryState(155.0, 10.0), LIM)
     arc, _tau2, info = follow_arc(0.0, (95.0, 14.0), lead, 0.0, 0.0, bvp, GAMMA, PHI)
     assert abs(info["remainder"].t_end - bvp.t_end) <= TOL  # a clean exit was found
@@ -488,17 +492,25 @@ def test_follow_arc_control_respects_u_min_behind_slower_leader():
 # ---------------------------------------------------------------------------
 
 
-def reference_zone_eval(traj: ZoneTrajectory, t: np.ndarray):
-    """Per-time arc lookup (first arc ending at or after t, else the last)
-    and that arc's own Arc.eval_many, which interpolates follow samples."""
+def reference_zone_eval(traj: Trajectory, t: np.ndarray):
+    """Hold the start state before the first arc, route each time to the
+    first zone and then the first arc ending at or after it (else the
+    last), evaluate that arc alone with Arc.eval_many, which interpolates
+    follow samples, and coast at the exit speed past the end."""
+    zones = [traj.zone(z) for z in dict.fromkeys(traj.zone_ids)]
     out = np.empty((3, len(t)))
     for i, ti in enumerate(t):
-        arc = next((a for a in traj.arcs if ti <= a.t1), traj.arcs[-1])
-        out[:, i] = [x[0] for x in arc.eval_many(np.asarray([ti]))]
+        tc = min(max(ti, traj.t_start), traj.t_end)
+        arcs = next((arcs for arcs in zones if tc <= arcs[-1].t1), zones[-1])
+        arc = next((a for a in arcs if tc <= a.t1), arcs[-1])
+        out[:, i] = [x[0] for x in arc.eval_many(np.asarray([tc]))]
+        if ti > traj.t_end:
+            pe, ve, _ = traj.arcs[-1].end_state()
+            out[:, i] = (pe + ve * (ti - traj.t_end), ve, 0.0)
     return out
 
 
-def kernel_times(traj: ZoneTrajectory) -> np.ndarray:
+def kernel_times(traj: Trajectory) -> np.ndarray:
     """Times before the start, on every arc edge, inside arcs and follow
     samples, and past the end."""
     edges = [a.t0 for a in traj.arcs] + [a.t1 for a in traj.arcs]
@@ -515,14 +527,18 @@ def test_zone_kernel_matches_per_arc_eval_bitwise():
     lead = _leader_decel_then_accel()
     bvp = ZoneBVP(9, 0.0, 6.0, BoundaryState(95.0, 14.0), BoundaryState(172.0, 13.0), LIM)
     arc, _tau2, info = follow_arc(0.0, (95.0, 14.0), lead, 0.0, 0.0, bvp, GAMMA, PHI)
-    tracked = ZoneTrajectory(9, (arc,) + info["remainder"].arcs)
+    tracked = one_zone(arc, *info["remainder"].arcs, zone=9)
     for traj in (saturated, lead, tracked):
         t = kernel_times(traj)
-        p, v, u = traj.eval_many(t)
-        ref = reference_zone_eval(traj, t)
-        assert np.array_equal(p, ref[0])
-        assert np.array_equal(v, ref[1])
-        assert np.array_equal(u, ref[2])
+        # the whole window alone, and with times before and after it
+        within = t[(t >= traj.t_start) & (t <= traj.t_end)]
+        assert len(within) == len(t) - 2
+        for times in (within, t):
+            p, v, u = traj.eval_many(times)
+            ref = reference_zone_eval(traj, times)
+            assert np.array_equal(p, ref[0])
+            assert np.array_equal(v, ref[1])
+            assert np.array_equal(u, ref[2])
 
 
 # ---------------------------------------------------------------------------
@@ -655,11 +671,11 @@ def test_exit_screen_finds_a_one_sample_dip_at_arc_joins():
     # on an arc whose ends sit inside that segment
     tc = between_coarse_samples(13)
     h = 0.5e-3
-    lead = ZoneTrajectory(0, (
+    lead = one_zone(
         Arc("cruise", 0.0, tc - h, p0=1.0),
         Arc("cruise", tc - h, tc + h, p0=-1e-3),
         Arc("cruise", tc + h, 1.0, p0=1.0),
-    ))
+    )
     foll = const_speed_traj(0.0, 0.0, 0.0, 1.0)
     assert one_sample_dip(lead, foll, tc)
     assert assert_screen_matches(lead, 0.0, foll, 0.0, 0.0, 1.0, 0.0, PHI) == -1e-3
@@ -674,7 +690,7 @@ def test_exit_screen_bound_is_tight_on_a_follow_arc_kink():
     ts = np.asarray([0.0, tc, 1.0])
     ps = -1e-3 + np.abs(ts - tc)
     zeros = np.zeros(3)
-    lead = ZoneTrajectory(0, (Arc("follow", 0.0, 1.0, samples=(ts, ps, zeros, zeros)),))
+    lead = one_zone(Arc("follow", 0.0, 1.0, samples=(ts, ps, zeros, zeros)))
     foll = const_speed_traj(0.0, 0.0, 0.0, 1.0)
     assert one_sample_dip(lead, foll, tc)
     got = assert_screen_matches(lead, 0.0, foll, 0.0, 0.0, 1.0, 0.0, PHI)
@@ -687,10 +703,10 @@ def test_exit_screen_equals_full_scan_behind_a_tracked_leader():
     lead = _leader_decel_then_accel()
     bvp = ZoneBVP(9, 0.0, 6.0, BoundaryState(95.0, 14.0), BoundaryState(172.0, 13.0), LIM)
     arc, _tau2, info = follow_arc(0.0, (95.0, 14.0), lead, 0.0, 0.0, bvp, GAMMA, PHI)
-    tracked = ZoneTrajectory(9, (arc,) + info["remainder"].arcs)
+    tracked = one_zone(arc, *info["remainder"].arcs, zone=9)
     found = 0
     for p0 in np.linspace(70.0, 90.0, 9):
-        foll = ZoneTrajectory(9, (Arc("const", 0.0, 6.0, p0=float(p0), v0=13.0, u0=-0.4),))
+        foll = one_zone(Arc("const", 0.0, 6.0, p0=float(p0), v0=13.0, u0=-0.4), zone=9)
         found += assert_screen_matches(tracked, 0.0, foll, 0.0, 0.0, 6.0, GAMMA, PHI) is not None
     assert 0 < found < 9
 
@@ -702,7 +718,7 @@ def test_exit_screen_equals_full_scan_where_the_remainder_speed_is_clipped(monke
     p1, v1, _ = a1.end_state()
     a2 = Arc("const", 2.0, 8.0, p0=p1, v0=v1, u0=1.0)
     p2, v2, _ = a2.end_state()
-    lead = ZoneTrajectory(0, (a1, a2, Arc("cruise", 8.0, 20.0, p0=p2, v0=v2)))
+    lead = one_zone(a1, a2, Arc("cruise", 8.0, 20.0, p0=p2, v0=v2))
     p_f = 100.0 - GAMMA - PHI * 4.0
     bvp = ZoneBVP(9, 0.0, 14.0, BoundaryState(p_f, 4.0), BoundaryState(p_f + 100.0, 10.0), LIM)
     calls = spy_on_exit_tests(monkeypatch)
@@ -715,8 +731,8 @@ def test_exit_screen_equals_full_scan_where_the_remainder_speed_is_clipped(monke
 def test_exit_screen_equals_full_scan_past_the_leaders_exit():
     # the leader leaves the corridor at t = 2 and coasts at 10 m/s; the
     # follower closes in at 12 m/s and pinches only during the coast
-    lead = VehicleTrajectory(1, (0,), (ZoneTrajectory(0, (Arc("const", 0.0, 2.0, p0=20.0, v0=9.0, u0=0.5),)),))
-    foll = ZoneTrajectory(0, (Arc("cubic", 0.0, 10.0, p0=0.0, v0=12.0, u0=0.1, slope=-0.02),))
+    lead = one_zone(Arc("const", 0.0, 2.0, p0=20.0, v0=9.0, u0=0.5))
+    foll = one_zone(Arc("cubic", 0.0, 10.0, p0=0.0, v0=12.0, u0=0.1, slope=-0.02))
     got = assert_screen_matches(lead, 0.0, foll, 0.0, 0.0, 10.0, GAMMA, PHI)
     assert got is not None
     runs = check_rear_end(lead, 0.0, foll, 0.0, 0.0, 10.0, GAMMA, PHI, dt=1e-3, tol=5e-7)
