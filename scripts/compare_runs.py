@@ -2,21 +2,25 @@
 
     python3 scripts/compare_runs.py OLD_CHECKOUT NEW_CHECKOUT [--work DIR] [--jobs 2]
 
-Each checkout's `src/` runs the same 34 configs through `cli.main`: the 20
+Each checkout's `src/` runs the same 35 configs through `cli.main`: the 20
 light-traffic runs (400-1000 veh/h, seeds 1-5), 1200 veh/h seeds 1-6, Poisson
 (30,2) under all three policies, (45,3) decentralized and centralized, (75,5)
-centralized, and FIFO (18,5) and (20,5).  `corridor validate --seed 0` runs
-once per checkout as well.  Per run the script keeps the three artifacts,
-stdout with the exit code, and a repair log: every follow arc's vehicle,
-zone, start and end time.  The log reads both trajectory layouts: per-zone
-objects under `.zones`, and one arc chain with per-arc `zone_ids`.
+centralized, and FIFO (18,5), (20,5) and (60,4), whose repairs track leaders
+that are tracking themselves.  `corridor validate --seed 0` runs once per
+checkout as well.  Per run the script keeps the three artifacts, stdout with
+the exit code, and a repair log: each tracking stretch's vehicle, zone,
+start and end time.  A stretch is a run of consecutive follow arcs in one
+zone, so a checkout that stores one follow arc per leader piece logs the
+same line as one that stores a single sampled arc.  The log reads both
+trajectory layouts: per-zone objects under `.zones`, and one arc chain with
+per-arc `zone_ids`.
 
 For each of those it prints "same" when the bytes match on every run, or the
 number of values that differ, the runs they differ in, and the largest
-relative difference.  metrics.json is compared without its wall-clock
-`solver_ms_*` fields.  Last it prints each checkout's `wc -l
-src/corridor/*.py` total.  The exit code is 1 when any schedules.json differs (or
-is missing on one side), else 0.
+relative and absolute differences.  metrics.json is compared without its
+wall-clock `solver_ms_*` fields.  Last it prints each checkout's `wc -l
+src/corridor/*.py` total.  The exit code is 1 when any schedules.json
+differs (or is missing on one side), else 0.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ def _configs() -> dict[str, dict]:
         cfgs[f"vol1200-s{seed}"] = {"volume_veh_h": 1200.0, "seed": seed}
     cells = [(30, 2, p) for p in ("decentralized", "fifo", "centralized")]
     cells += [(45, 3, "decentralized"), (45, 3, "centralized"), (75, 5, "centralized")]
-    cells += [(18, 5, "fifo"), (20, 5, "fifo")]
+    cells += [(18, 5, "fifo"), (20, 5, "fifo"), (60, 4, "fifo")]
     for n, seed, policy in cells:
         cfgs[f"poisson{n}-s{seed}-{policy}"] = {
             "arrival_mode": "poisson", "n_vehicles": n, "seed": seed, "policy": policy,
@@ -80,9 +84,17 @@ with open(repairs_path, "w") as f:
                 tagged = [(z.zone_id, a) for z in traj.zones for a in z.arcs]
             else:
                 tagged = zip(traj.zone_ids, traj.arcs)
+            stretches, tracking = [], None  # tracking: zone of the follow arc just seen
             for zone_id, arc in tagged:
-                if arc.label == "follow":
-                    print(rec.vehicle_id, zone_id, repr(arc.t0), repr(arc.t1), file=f)
+                if arc.label != "follow":
+                    tracking = None
+                elif tracking == zone_id:
+                    stretches[-1][2] = arc.t1
+                else:
+                    stretches.append([zone_id, arc.t0, arc.t1])
+                    tracking = zone_id
+            for zone_id, t0, t1 in stretches:
+                print(rec.vehicle_id, zone_id, repr(t0), repr(t1), file=f)
 print("exit", code)
 """
 
@@ -149,23 +161,26 @@ def _number(x):
         return None
 
 
-def _diff(name: str, old: str, new: str) -> tuple[int, float, bool]:
-    """(differing values, largest relative difference, structure differs)."""
+def _diff(name: str, old: str, new: str) -> tuple[int, float, float, bool]:
+    """(differing values, largest relative and absolute differences,
+    structure differs).  The absolute difference tells real drift from two
+    values near zero, whose relative difference reads about 1."""
     a, b = _values(name, old), _values(name, new)
     if [p for p, _ in a] != [p for p, _ in b]:
-        return 0, math.nan, True
-    count, worst = 0, 0.0
+        return 0, math.nan, math.nan, True
+    count, rel, ab = 0, 0.0, 0.0
     for (_, x), (_, y) in zip(a, b):
         if x == y:
             continue
         count += 1
         fx, fy = _number(x), _number(y)
         if fx is None or fy is None:
-            worst = math.inf
+            rel = ab = math.inf
         elif fx != fy:
             scale = max(abs(fx), abs(fy))
-            worst = max(worst, abs(fx - fy) / scale if scale else 0.0)
-    return count, worst, False
+            rel = max(rel, abs(fx - fy) / scale if scale else 0.0)
+            ab = max(ab, abs(fx - fy))
+    return count, rel, ab, False
 
 
 def _read(path: str) -> str | None:
@@ -183,7 +198,7 @@ def compare(old_dir: str, new_dir: str, runs: list[str]) -> bool:
     """Print the per-artifact report; True when every schedules.json matches."""
     schedules_same = True
     for name in ARTIFACTS:
-        count, worst, runs_differ, broken = 0, 0.0, [], {}
+        count, rel, ab, runs_differ, broken = 0, 0.0, 0.0, [], {}
         for run in runs:
             old = _read(os.path.join(old_dir, run, name))
             new = _read(os.path.join(new_dir, run, name))
@@ -194,12 +209,12 @@ def compare(old_dir: str, new_dir: str, runs: list[str]) -> bool:
                 continue
             if old == new:
                 continue
-            n, w, structure = _diff(name, old, new)
+            n, r, a, structure = _diff(name, old, new)
             if structure:
                 broken.setdefault("structure differs", []).append(run)
             elif n:
                 count += n
-                worst = max(worst, w)
+                rel, ab = max(rel, r), max(ab, a)
                 runs_differ.append(run)
             elif name == "metrics.json":
                 continue  # only solver_ms_* moved
@@ -211,7 +226,10 @@ def compare(old_dir: str, new_dir: str, runs: list[str]) -> bool:
             print(f"{name:15s} same")
             continue
         if runs_differ:
-            print(f"{name:15s} {count} values differ in {len(runs_differ)} runs, largest relative difference {worst:.3g}")
+            print(
+                f"{name:15s} {count} values differ in {len(runs_differ)} runs, "
+                f"largest relative difference {rel:.3g}, absolute {ab:.3g}"
+            )
             print(f"{'':15s} runs: {', '.join(runs_differ)}")
         for reason, bad in broken.items():
             print(f"{name:15s} {reason} in {len(bad)} runs: {', '.join(bad)}")

@@ -499,17 +499,7 @@ def _truncate_arcs(arcs: tuple, tau: float) -> list:
         if a.t1 <= tau + 1e-12:
             kept.append(a)
         elif a.t0 < tau - 1e-12:
-            if a.label == "follow":
-                ts = np.asarray(a.samples[0])
-                keep = ts < tau
-                pe, ve, ue = a.eval(tau)
-                samples = tuple(
-                    np.append(np.asarray(arr)[keep], val)
-                    for arr, val in zip(a.samples, (tau, pe, ve, ue))
-                )
-                kept.append(replace(a, t1=tau, samples=samples))
-            else:
-                kept.append(replace(a, t1=tau))
+            kept.append(replace(a, t1=tau))
     return kept
 
 
@@ -559,13 +549,13 @@ def _repair_follower(
     offs = follower.path.entry_offsets + (follower.path.total_length,)
     end_state = BoundaryState(offs[k + 1], zone_arcs[-1].end_state()[1])
     bvp = ZoneBVP(zone_id, tau1, t_hi, BoundaryState(p1, v1), end_state, lim)
-    arc, _tau2, info = follow_arc(
+    arcs, _tau2, info = follow_arc(
         tau1, (p1, v1), leader.trajectory, l_anchor, f_anchor, bvp, config.gamma, config.phi,
     )
     kept = _truncate_arcs(zone_arcs, tau1)
     # splice the exact remainder the exit test validated
     follower.trajectory = follower.trajectory.with_zone(
-        zone_id, tuple(kept) + (arc,) + info["remainder"].arcs
+        zone_id, tuple(kept) + arcs + info["remainder"].arcs
     )
     follower.repairs += 1
     return True

@@ -30,8 +30,8 @@ joins its zones' arcs, and a repair splices new arcs into one zone
 state; past its last arc it coasts at its exit speed.
 
 A rear-end safety arc (follower tracking a leader under the speed-dependent
-spacing rule) is integrated numerically, with the leader evaluated on the
-step grid a chunk of steps at a time; its entry control comes from the
+spacing rule) is solved in closed form, one follow arc per leader piece: a
+cubic plus a polynomial times e^(-t/phi).  Its entry control comes from the
 tangency condition and it ends as soon as the remainder, re-solved inside
 its own release/deadline window, stays clear of the constraint.  Costate
 jump bookkeeping at those junctions is reported, not enforced.
@@ -39,17 +39,17 @@ jump bookkeeping at those junctions is reported, not enforced.
 Each candidate exit is tested on check_rear_end's 1 ms grid, but through a
 screen (_exit_trough): every 32nd sample is evaluated, and a stretch between
 two of them is skipped only where a Lipschitz bound on the margin, built
-from per-arc bounds on |dv/dt| and |dp/dt - v|, proves that none of its
-samples falls below the tolerance.  The rest is evaluated exactly as the
-full scan evaluates it, so the screen returns the full scan's worst margin
-bit for bit and no verdict, and no exit, can change.  check_rear_end itself
-stays the plain full scan that the safety checks and tests use.
+from per-arc bounds on |dv/dt|, proves that none of its samples falls below
+the tolerance.  The rest is evaluated exactly as the full scan evaluates it,
+so the screen returns the full scan's worst margin bit for bit and no
+verdict, and no exit, can change.  check_rear_end itself stays the plain
+full scan that the safety checks and tests use.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -78,13 +78,15 @@ class NoExitFound(RuntimeError):
 class Arc:
     """One control arc over [t0, t1] in absolute time.
 
-    Polynomial arcs store local-time coefficients (s = t - t0):
+    Every arc is a cubic in local time s = t - t0:
         u(s) = u0 + slope*s
         v(s) = v0 + u0*s + slope*s^2/2
         p(s) = p0 + v0*s + u0*s^2/2 + slope*s^3/6
     labels: "cubic" (slope generally nonzero), "const" (slope 0, u0 may be
-    any bound), "cruise" (u identically 0).  "follow" arcs carry dense
-    samples from the safety ODE instead.
+    any bound), "cruise" (u identically 0).  A "follow" arc, where a
+    follower tracks its leader on the spacing rule, adds G(s)*e^(-s/tau) to
+    p, with G the polynomial of coefficients g (lowest power first), and
+    its derivatives to v and u.  Polynomial arcs have g = ().
     """
 
     label: str
@@ -94,54 +96,65 @@ class Arc:
     v0: float = 0.0
     u0: float = 0.0
     slope: float = 0.0
-    samples: tuple | None = None  # (t, p, v, u) arrays for follow arcs
+    tau: float = 0.0  # decay time of a follow arc's exponential part
+    g: tuple[float, ...] = ()
 
     @property
     def duration(self) -> float:
         return self.t1 - self.t0
 
-    def eval(self, t: float) -> tuple[float, float, float]:
-        if self.label == "follow":
-            ts, ps, vs, us = self.samples
-            return (
-                float(np.interp(t, ts, ps)),
-                float(np.interp(t, ts, vs)),
-                float(np.interp(t, ts, us)),
-            )
+    def _exp_terms(self, s, exp):
+        """The exponential part's terms in (p, v, u) at local times s."""
+        G = dG = d2G = 0.0
+        for c in reversed(self.g):  # Horner for G, G' and G'' at once
+            d2G = d2G * s + 2.0 * dG
+            dG = dG * s + G
+            G = G * s + c
+        tau = self.tau
+        e = exp(-s / tau)
+        return G * e, (dG - G / tau) * e, (d2G - 2.0 * dG / tau + G / (tau * tau)) * e
+
+    def _eval(self, t, exp):
+        """(p, v, u) at t: a float with exp = math.exp, an array with np.exp."""
         s = t - self.t0
         u = self.u0 + self.slope * s
         v = self.v0 + self.u0 * s + 0.5 * self.slope * s * s
         p = self.p0 + self.v0 * s + 0.5 * self.u0 * s * s + self.slope * s**3 / 6.0
+        if self.g:
+            ep, ev, eu = self._exp_terms(s, exp)
+            return p + ep, v + ev, u + eu
         return p, v, u
 
+    def eval(self, t: float) -> tuple[float, float, float]:
+        return self._eval(t, math.exp)
+
     def eval_many(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if self.label == "follow":
-            ts, ps, vs, us = self.samples
-            return np.interp(t, ts, ps), np.interp(t, ts, vs), np.interp(t, ts, us)
-        s = t - self.t0
-        u = self.u0 + self.slope * s
-        v = self.v0 + self.u0 * s + 0.5 * self.slope * s * s
-        p = self.p0 + self.v0 * s + 0.5 * self.u0 * s * s + self.slope * s**3 / 6.0
-        return p, v, u
+        return self._eval(t, np.exp)
 
     def end_state(self) -> tuple[float, float, float]:
         return self.eval(self.t1)
 
+    def _sampled(self) -> tuple[np.ndarray, ...]:
+        """A follow arc's (t, p, v, u) every millisecond from t0, and at t1."""
+        t = np.append(np.arange(self.t0, self.t1, 1e-3), self.t1)
+        return (t, *self.eval_many(t))
+
     @property
     def energy(self) -> float:
-        """Effort integral 1/2 * u^2 over the arc."""
-        if self.label == "follow":
-            ts, _, _, us = self.samples
-            return float(np.trapezoid(0.5 * us * us, ts))
+        """Effort integral 1/2 * u^2 over the arc (on the 1 ms grid for a follow arc)."""
+        if self.g:
+            t, _, _, u = self._sampled()
+            return float(np.trapezoid(0.5 * u * u, t))
         w = self.duration
         a, b = self.slope, self.u0
         return 0.5 * (a * a * w**3 / 3.0 + a * b * w * w + b * b * w)
 
     def speed_extrema(self) -> tuple[float, float]:
-        """Exact speed range over the arc (endpoint and interior vertex)."""
-        if self.label == "follow":
-            vs = self.samples[2]
-            return float(vs.min()), float(vs.max())
+        """Exact speed range over a polynomial arc (endpoint and interior
+        vertex); a follow arc's range on the 1 ms grid."""
+        if self.g:
+            v = self._sampled()[2]
+            return float(v.min()), float(v.max())
         _, v_end, _ = self.end_state()
         lo, hi = min(self.v0, v_end), max(self.v0, v_end)
         if abs(self.slope) > 0.0:
@@ -152,28 +165,29 @@ class Arc:
         return lo, hi
 
     def control_extrema(self) -> tuple[float, float]:
-        if self.label == "follow":
-            us = self.samples[3]
-            return float(us.min()), float(us.max())
+        if self.g:
+            u = self._sampled()[3]
+            return float(u.min()), float(u.max())
         u_end = self.u0 + self.slope * self.duration
         return min(self.u0, u_end), max(self.u0, u_end)
 
-    @cached_property
-    def follow_rates(self) -> tuple[float, float]:
-        """Bounds on |dv/dt| and |dp/dt - v| between a follow arc's samples.
+    def control_bound(self, s0: float, s1: float) -> float:
+        """A bound on |u| over local times [s0, s1].
 
-        np.interp makes p and v linear on each sample interval, so v' is the
-        interval's speed slope and p' - v is linear there, largest at an end.
-        Repeated or unordered sample times get no finite bound.
+        The linear part peaks at an end.  The exponential part is
+        Q(s)*e^(-s/tau) with Q = G'' - 2G'/tau + G/tau^2 = sum q_k s^k, and
+        |s| <= max(|s0|, |s1|) and e^(-s/tau) <= e^(-s0/tau) there.
         """
-        ts, ps, vs, _ = self.samples
-        dt = np.diff(ts)
-        if len(dt) == 0 or not (dt > 0.0).all():
-            return math.inf, math.inf
-        sv = np.diff(vs) / dt
-        sp = np.diff(ps) / dt
-        d = max(np.abs(sp - vs[:-1]).max(), np.abs(sp - vs[1:]).max())
-        return float(np.abs(sv).max()), float(d)
+        bound = max(abs(self.u0 + self.slope * s0), abs(self.u0 + self.slope * s1))
+        if self.g:
+            g, tau = self.g + (0.0, 0.0), self.tau
+            q = [
+                (k + 2) * (k + 1) * g[k + 2] - 2.0 * (k + 1) * g[k + 1] / tau + g[k] / (tau * tau)
+                for k in range(len(self.g))
+            ]
+            sm = max(abs(s0), abs(s1))
+            bound += sum(abs(c) * sm**k for k, c in enumerate(q)) * math.exp(-s0 / tau)
+        return bound
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,10 +200,10 @@ class Trajectory:
     built on first use: the arcs' t1 edges and their (t0, p0, v0, u0, slope)
     columns.  One searchsorted routes a batch of times to arcs; the
     polynomial runs on gathered columns in Arc.eval_many's expression order,
-    so values equal per-arc evaluation bit for bit, and only elements inside
-    follow arcs are interpolated.  The edges are a running maximum: where
-    piecing dust lets a zone's last arc end after the next zone's first one,
-    times in the overlap stay with the earlier zone.
+    and elements inside follow arcs add that arc's exponential terms, so
+    values equal per-arc evaluation bit for bit.  The edges are a running
+    maximum: where piecing dust lets a zone's last arc end after the next
+    zone's first one, times in the overlap stay with the earlier zone.
     """
 
     arcs: tuple[Arc, ...]
@@ -216,8 +230,9 @@ class Trajectory:
         return (np.maximum.accumulate(t1), *cols)
 
     @cached_property
-    def _follow(self) -> list[int]:
-        return [k for k, a in enumerate(self.arcs) if a.label == "follow"]
+    def _tracking(self) -> list[int]:
+        """Indices of the arcs with an exponential part."""
+        return [k for k, a in enumerate(self.arcs) if a.g]
 
     def index(self, t: np.ndarray) -> np.ndarray:
         """Arc index per time: the first arc whose end is at or after it."""
@@ -236,10 +251,13 @@ class Trajectory:
         u = u0 + slope * s
         v = v0 + u0 * s + 0.5 * slope * s * s
         p = p0[idx] + v0 * s + 0.5 * u0 * s * s + slope * s**3 / 6.0
-        for k in self._follow:
+        for k in self._tracking:
             m = idx == k
             if m.any():
-                p[m], v[m], u[m] = self.arcs[k].eval_many(tc[m])
+                ep, ev, eu = self.arcs[k]._exp_terms(s[m], np.exp)
+                p[m] += ep
+                v[m] += ev
+                u[m] += eu
         if outside:
             beyond = t > t_end
             if beyond.any():
@@ -280,16 +298,14 @@ class Trajectory:
             self.zone_ids[: s.start] + (z,) * len(arcs) + self.zone_ids[s.stop :],
         )
 
-    def rate_pieces(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def rate_pieces(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Piece per sorted time from t_start on, with per-piece bounds A on
-        |dv/dt| and D on |dp/dt - v| over [t[0], t[-1]].
+        |dv/dt| over [t[0], t[-1]].
 
         Piece k < len(arcs) is arc k over the times index() routes to it;
-        piece len(arcs) is the coast past the exit, where v' = 0 and p' = v.
-        A polynomial arc has p' = v exactly (D = 0) and a linear u, so |u|
-        peaks at an end of its routed range.  A follow arc takes its sample
-        bounds (Arc.follow_rates); routed times outside its samples, where
-        np.interp holds p and v constant, get no finite bound.
+        piece len(arcs) is the coast past the exit, where v' = 0.  A
+        polynomial arc's linear u peaks at an end of its routed range; a
+        follow arc adds its exponential part's bound (Arc.control_bound).
         """
         edges, t0, _, _, u0, slope = self._columns
         n, t_end = len(self.arcs), self.t_end
@@ -300,15 +316,11 @@ class Trajectory:
         r0 = np.maximum(np.concatenate(([-math.inf], edges[:-1])), t_lo)
         r1 = np.minimum(edges, t_hi)
         r1[-1] = t_hi
-        a, d = np.zeros(n + 1), np.zeros(n + 1)
+        a = np.zeros(n + 1)
         a[:n] = np.maximum(np.abs(u0 + slope * (r0 - t0)), np.abs(u0 + slope * (r1 - t0)))
-        for k in self._follow:
-            ts = self.arcs[k].samples[0]
-            if r0[k] <= r1[k] and (r0[k] < ts[0] or r1[k] > ts[-1]):
-                a[k] = d[k] = math.inf
-            else:
-                a[k], d[k] = self.arcs[k].follow_rates
-        return piece, a, d
+        for k in self._tracking:
+            a[k] = self.arcs[k].control_bound(float(r0[k] - t0[k]), float(r1[k] - t0[k]))
+        return piece, a
 
     def speed_extrema(self) -> tuple[float, float]:
         los, his = zip(*(a.speed_extrema() for a in self.arcs))
@@ -812,14 +824,14 @@ def _exit_trough(
     margin, which no skipped sample could then undercut.  Every other
     sample is evaluated exactly as the full scan evaluates it.
 
-    The bound.  With m = (p_l - a_l) - (p_f - a_f) - gamma - phi*v_f,
-        m' = (v_l - v_f) + (p_l' - v_l) - (p_f' - v_f) - phi*v_f'.
+    The bound.  With m = (p_l - a_l) - (p_f - a_f) - gamma - phi*v_f, and
+    p' = v on every arc and on the coast,
+        m' = (v_l - v_f) - phi*v_f'.
     On a segment [t_a, t_b] of length delta where each trajectory stays on
     one piece (rate_pieces: one arc, or the coast past a vehicle's exit),
-    |v'| <= A and |p' - v| <= D hold, so |v_l - v_f| grows from its value at
-    an end by at most (A_l + A_f)*delta and
-        |m'| <= L = max(|v_l - v_f| at t_a, t_b) + (A_l + A_f)*delta
-                    + D_l + D_f + |phi|*A_f.
+    |v'| <= A holds, so |v_l - v_f| grows from its value at an end by at
+    most (A_l + A_f)*delta and
+        |m'| <= L = max(|v_l - v_f| at t_a, t_b) + (A_l + A_f)*delta + |phi|*A_f.
     An L-Lipschitz m lies above both m_a - L(t - t_a) and m_b - L(t_b - t),
     whose lower envelope bottoms out at (m_a + m_b)/2 - L*delta/2.  A fixed
     _SCREEN_SLACK absorbs the rounding of the evaluated margins (well under
@@ -852,13 +864,13 @@ def _exit_trough(
         coarse = np.append(coarse, n)
     tc = t[coarse]
     m_c, v_l, v_f = margin_at(coarse)
-    piece_l, a_l, d_l = leader.rate_pieces(tc)
-    piece_f, a_f, d_f = follower.rate_pieces(tc)
+    piece_l, a_l = leader.rate_pieces(tc)
+    piece_f, a_f = follower.rate_pieces(tc)
     one_piece = (piece_l[1:] == piece_l[:-1]) & (piece_f[1:] == piece_f[:-1])
     pl, pf = piece_l[:-1], piece_f[:-1]
     delta = np.diff(tc)
     dv = np.abs(v_l - v_f)
-    lip = np.maximum(dv[:-1], dv[1:]) + (a_l[pl] + a_f[pf]) * delta + d_l[pl] + d_f[pf] + abs(phi) * a_f[pf]
+    lip = np.maximum(dv[:-1], dv[1:]) + (a_l[pl] + a_f[pf]) * delta + abs(phi) * a_f[pf]
     lower = 0.5 * (m_c[:-1] + m_c[1:]) - 0.5 * lip * delta - _SCREEN_SLACK
     floor = min(-tol, float(m_c.min()))
     open_seg = np.flatnonzero(~(one_piece & (lower >= floor)))
@@ -872,34 +884,52 @@ def _exit_trough(
     return trough(m_c, margin_at(inner)[0])
 
 
-_STEP_CHUNK = 256  # RK4 steps per batched leader evaluation
+def _shifted(g: tuple[float, ...], d: float) -> tuple[float, ...]:
+    """Coefficients of G(s + d), given those of G(s)."""
+    return tuple(sum(math.comb(k, j) * g[k] * d ** (k - j) for k in range(j, len(g))) for j in range(len(g)))
 
 
-def _leader_on_steps(leader: Trajectory, t1: float, t_end: float, grid_dt: float):
-    """The RK4 step grid from t1 toward t_end, with the leader on it.
+def _track(leader: Trajectory, t1: float, t2: float, p1: float, v1: float, phi: float) -> list[Arc]:
+    """The follower riding the spacing rule behind leader over [t1, t2].
 
-    Yields (t, dt, v_leader(t), v_leader(t + dt/2), p_leader(t + dt),
-    v_leader(t + dt)) per step.  Steps are grid_dt long except a short last
-    one, each starting where the previous one's t + dt ended, with at most
-    ceil((t_end - t1)/grid_dt) + 1 of them.  The leader is evaluated on
-    _STEP_CHUNK steps' ends and midpoints per batched call; trajectory
-    evaluation is elementwise, so each value equals a per-step call bit
-    for bit, and a caller that stops early wastes less than one chunk.
+    On the rule v' = (v_l - v)/phi, solved in closed form on each piece
+    of the leader that index() routes to (and on its coast past t_end),
+    one follow arc per piece.  In local time s from a piece's start, the
+    leader's speed is a quadratic P plus the exponential part of a leader
+    that is tracking itself, Gl(s)*e^(-s/phi).  The follower's speed is
+    P - phi*P' + phi^2*P'' plus the same kind of term, whose position
+    coefficient G solves G' = Gl/phi, so a chain of k trackers has G of
+    degree k - 1.  G(0) = Gl(0) - phi*(v_start - (P - phi*P' + phi^2*P'')(0))
+    keeps the speed continuous, and each arc starts where the last ended,
+    so the margin holds its tangency value exactly.  The leader's follow
+    arcs must share this phi, and t1 must not precede leader.t_start.
     """
-    max_steps = int(math.ceil((t_end - t1) / grid_dt)) + 1
-    nodes = [t1]
-    while max_steps > 0 and nodes[-1] < t_end - grid_dt * 0.5:
-        steps = []
-        while len(steps) < min(_STEP_CHUNK, max_steps) and nodes[-1] < t_end - grid_dt * 0.5:
-            steps.append(min(grid_dt, t_end - nodes[-1]))
-            nodes.append(nodes[-1] + steps[-1])
-        max_steps -= len(steps)
-        t_nodes = np.asarray(nodes)
-        p_l, v_l, _ = (x.tolist() for x in leader.eval_many(t_nodes))
-        v_mid = leader.eval_many(t_nodes[:-1] + np.asarray(steps) / 2)[1].tolist()
-        for i, dt in enumerate(steps):
-            yield nodes[i], dt, v_l[i], v_mid[i], p_l[i + 1], v_l[i + 1]
-        nodes = nodes[-1:]
+    t_end = leader.t_end
+    ends = np.minimum(leader._columns[0], t_end).tolist() + [math.inf]
+    arcs: list[Arc] = []
+    t, p, v = t1, p1, v1
+    for k, hi in enumerate(ends):
+        if t >= t2:
+            break
+        if hi <= t:
+            continue
+        if k < len(leader.arcs):
+            la = leader.arcs[k]
+            d = t - la.t0
+            vl = la.v0 + la.u0 * d + 0.5 * la.slope * d * d
+            ul, jl = la.u0 + la.slope * d, la.slope
+            decay = math.exp(-d / phi)
+            gl = tuple(c * decay for c in _shifted(la.g, d))
+        else:  # the leader coasts at its exit speed
+            vl, ul, jl, gl = leader.arcs[-1].end_state()[1], 0.0, 0.0, ()
+        v0, u0 = vl - phi * ul + phi * phi * jl, ul - phi * jl
+        g0 = (gl[0] if gl else 0.0) + phi * (v0 - v)
+        g = (g0, *(c / ((i + 1) * phi) for i, c in enumerate(gl)))
+        arc = Arc("follow", t, min(hi, t2), p0=p - g0, v0=v0, u0=u0, slope=jl, tau=phi, g=g)
+        arcs.append(arc)
+        t = arc.t1
+        p, v, _ = arc.end_state()
+    return arcs
 
 
 def follow_arc(
@@ -912,51 +942,39 @@ def follow_arc(
     gamma: float,
     phi: float,
     grid_dt: float = 1e-3,
-) -> tuple[Arc, float, dict]:
+) -> tuple[tuple[Arc, ...], float, dict]:
     """Track the leader from tangency at t1 until the remainder solves clean.
 
     On the constraint the margin identity pins the follower's state to the
-    leader's: u = (v_leader - v)/phi, and position follows from the spacing
-    rule itself.  Only dv/dt = (v_leader - v)/phi is integrated (fourth-order
-    steps on the exit grid); position is read off the constraint, so the
-    tracked margin holds its tangency value exactly instead of drifting with
-    the integrator.  At tested grid points the remainder to the zone exit is
-    re-solved inside its own release/deadline window; tracking ends at the
-    first point whose solved remainder stays clear of the spacing rule, and
-    that trajectory is returned in info["remainder"] so the caller splices
-    exactly what was checked.  Costate jumps at the junctions are reported,
-    not enforced.
+    leader's: u = (v_leader - v)/phi, solved in closed form by _track, one
+    follow arc per leader piece.  At tested points of the exit grid (steps
+    of grid_dt from t1) the remainder to the zone exit is re-solved inside
+    its own release/deadline window; tracking ends at the first point whose
+    solved remainder stays clear of the spacing rule.  Returns the follow
+    arcs up to that point, the point, and info, whose info["remainder"] is
+    the trajectory that was checked, so the caller splices exactly that.
+    Costate jumps at the junctions are reported, not enforced.
 
     The clearance test is _exit_trough: check_rear_end's verdict and worst
     margin at dt = 1 ms, tol = 5e-7, computed by a bound-screened scan that
     returns the same float, so the exit and the skip after a rejected
     candidate (which reads that worst margin) are those of the full scan.
-    The leader is evaluated a chunk of steps at a time (_leader_on_steps).
     """
     p1, v1 = state
-    pl1, vl, _ul = leader.eval(t1)
-    u = (vl - v1) / phi
-    info = {"u_entry": u, "tangency_time": t1}
-
-    ts = [t1]
-    ps = [p1]
-    vs = [v1]
-    us = [u]
-    v = v1
+    vl = leader.eval(t1)[1]
+    info = {"u_entry": (vl - v1) / phi, "tangency_time": t1}
+    arcs = _track(leader, t1, bvp.t_end, p1, v1, phi)
 
     lim = bvp.limits
-    # residual tangency margin, carried so the arc starts exactly at p1
-    m1 = (pl1 - leader_anchor) - (p1 - follower_anchor) - gamma - phi * v1
     # a rejected candidate's margin trough recovers no faster than this,
     # bounding how long further exit tests stay pointless
     margin_rate = 50.0
 
-    accepted: dict = {}
-
-    def clean_exit(tau: float, p_tau: float, v_tau: float) -> tuple[bool, float]:
+    def clean_exit(tau: float, p_tau: float, v_tau: float) -> tuple[Trajectory | None, float]:
+        """The accepted remainder (None if rejected) and the next time to test."""
         w_rem = bvp.t_end - tau
         if w_rem <= 1e-6:
-            return False, tau
+            return None, tau
         v_ok = min(max(v_tau, lim.v_min), lim.v_max)
         rem_start = BoundaryState(0.0, v_ok)
         rem_end = BoundaryState(bvp.end.position - p_tau, bvp.end.speed)
@@ -964,19 +982,19 @@ def follow_arc(
             rel = release_time(rem_start, rem_end, lim)
             ddl = deadline(rem_start, rem_end, lim)
         except InfeasibleBoundary:
-            return False, tau
+            return None, tau
         if w_rem < rel.time - 1e-9:
-            return False, tau
+            return None, tau
         # more time left than the slowest feasible remainder can absorb:
         # no continuation exists yet, keep tracking
         if not ddl.is_unbounded() and w_rem > ddl.time + 1e-9:
-            return False, tau
+            return None, tau
         sub = ZoneBVP(bvp.zone_id, tau, bvp.t_end, BoundaryState(p_tau, v_ok), bvp.end, lim)
         rem_bounds = ZoneBounds(rel.time, None if ddl.is_unbounded() else ddl.time)
         try:
             cand = solve_zone(sub, rem_bounds)
         except (ValueError, PiecingDiverged):
-            return False, tau
+            return None, tau
         # the candidate departs from a point ON the constraint, so its first
         # samples sit at the tangency margin; tolerate that contact while
         # rejecting any real re-violation further out.  Sampling is finer and
@@ -987,30 +1005,20 @@ def follow_arc(
             dt=1e-3, tol=5e-7,
         )
         if trough is not None:
-            return False, tau + (-trough - 5e-7) / margin_rate
-        accepted["remainder"] = cand
-        return True, tau
+            return None, tau + (-trough - 5e-7) / margin_rate
+        return cand, tau
 
-    next_test = t1
-    for t, dt, vl_t, vl_mid, pl_end, vl_end in _leader_on_steps(leader, t1, bvp.t_end, grid_dt):
-        k1 = (vl_t - v) / phi
-        k2 = (vl_mid - (v + dt / 2 * k1)) / phi
-        k3 = (vl_mid - (v + dt / 2 * k2)) / phi
-        k4 = (vl_end - (v + dt * k3)) / phi
-        v += dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        t += dt
-        p = (pl_end - leader_anchor + follower_anchor) - gamma - phi * v - m1
-        u = (vl_end - v) / phi
-        ts.append(t)
-        ps.append(p)
-        vs.append(v)
-        us.append(u)
+    next_test, t, j = t1, t1, 0
+    for _ in range(int(math.ceil((bvp.t_end - t1) / grid_dt)) + 1):
+        if t >= bvp.t_end - grid_dt * 0.5:
+            break
+        t += min(grid_dt, bvp.t_end - t)
         if t >= next_test:
-            ok, next_test = clean_exit(t, p, v)
-            if ok:
-                arr = (np.asarray(ts), np.asarray(ps), np.asarray(vs), np.asarray(us))
-                arc = Arc("follow", t1, t, samples=arr)
-                info["u_exit"] = u
-                info["remainder"] = accepted["remainder"]
-                return arc, t, info
+            while j + 1 < len(arcs) and t > arcs[j].t1:
+                j += 1
+            p, v, u = arcs[j].eval(t)
+            remainder, next_test = clean_exit(t, p, v)
+            if remainder is not None:
+                info.update(u_exit=u, remainder=remainder)
+                return (*arcs[:j], replace(arcs[j], t1=t)), t, info
     raise NoExitFound(f"zone {bvp.zone_id}: follower found no clean exit before the boundary")

@@ -399,19 +399,23 @@ def test_follow_arc_matches_exponential_closed_form():
     lead = _leader_decel_then_accel()
     # gap exactly gamma + phi*v at t=0, speeds equal: tangency control is 0
     bvp = ZoneBVP(9, 0.0, 6.0, BoundaryState(95.0, 14.0), BoundaryState(172.0, 13.0), LIM)
-    arc, tau2, info = follow_arc(0.0, (95.0, 14.0), lead, 0.0, 0.0, bvp, GAMMA, PHI)
+    arcs, tau2, info = follow_arc(0.0, (95.0, 14.0), lead, 0.0, 0.0, bvp, GAMMA, PHI)
     assert abs(info["u_entry"]) <= 1e-12
     assert tau2 > 2.0  # tracked through the leader's whole deceleration
-    ts, ps, vs, us = arc.samples
-    sel = ts <= 2.0 + 1e-12
-    p_ref, v_ref, u_ref = follower_closed_form(ts[sel])
-    assert np.max(np.abs(us[sel] - u_ref)) <= 1e-6
-    assert np.max(np.abs(vs[sel] - v_ref)) <= 1e-6
-    assert np.max(np.abs(ps[sel] - p_ref)) <= 1e-6
-    # the active constraint holds exactly along the tracked stretch
+    assert [a.label for a in arcs] == ["follow", "follow"] and arcs[-1].t1 == tau2
+    tracked = one_zone(*arcs)
+    # arbitrary times, not a grid
+    ts = np.sort(np.random.default_rng(4).uniform(0.0, 2.0, 2000))
+    p, v, u = tracked.eval_many(ts)
+    p_ref, v_ref, u_ref = follower_closed_form(ts)
+    assert np.max(np.abs(u - u_ref)) <= 1e-12
+    assert np.max(np.abs(v - v_ref)) <= 1e-12
+    assert np.max(np.abs(p - p_ref)) <= 1e-12
+    # the active constraint holds exactly along the whole tracked stretch
+    ts = np.linspace(0.0, tau2, 3001)
     pl, _vl, _ = lead.eval_many(ts)
-    margin = pl - ps - GAMMA - PHI * vs
-    assert np.max(np.abs(margin[sel])) <= 1e-5
+    p, v, _ = tracked.eval_many(ts)
+    assert np.max(np.abs(pl - p - GAMMA - PHI * v)) <= 1e-12
 
 
 def test_follow_arc_no_exit_when_target_unreachable():
@@ -426,51 +430,127 @@ def test_follow_arc_exits_quickly_with_clearance():
     a1 = Arc("cruise", 0.0, 6.0, p0=140.0, v0=15.0, u0=0.0, slope=0.0)
     lead = one_zone(a1)
     bvp = ZoneBVP(9, 0.0, 6.0, BoundaryState(95.0, 15.0), BoundaryState(185.0, 15.0), LIM)
-    arc, tau2, _info = follow_arc(0.0, (95.0, 15.0), lead, 0.0, 0.0, bvp, GAMMA, PHI)
+    arcs, tau2, _info = follow_arc(0.0, (95.0, 15.0), lead, 0.0, 0.0, bvp, GAMMA, PHI)
     assert tau2 <= 0.002
-    assert arc.duration <= 0.002
+    assert arcs[-1].t1 - arcs[0].t0 <= 0.002
 
 
+def rk4_chain(leader, starts, t_end, h):
+    """Fourth-order steps of h for trackers in a chain behind leader.
 
-def reference_follow_samples(t1, p1, v1, leader, n_steps, gamma, phi, grid_dt=1e-3):
-    """follow_arc's RK4 samples stepped one at a time: the leader evaluated
-    per step at the midpoint and the end, the end carried to the next step."""
-    pl1, vl_t, _ = leader.eval(t1)
-    m1 = pl1 - p1 - gamma - phi * v1
-    out = [(t1, p1, v1, (vl_t - v1) / phi)]
-    t, v = t1, v1
-    for _ in range(n_steps):
-        dt = grid_dt
-        vl_mid = leader.eval(t + dt / 2)[1]
-        pl_t, vl_end, _ = leader.eval(t + dt)
-        k1 = (vl_t - v) / phi
-        k2 = (vl_mid - (v + dt / 2 * k1)) / phi
-        k3 = (vl_mid - (v + dt / 2 * k2)) / phi
-        k4 = (vl_end - (v + dt * k3)) / phi
-        v += dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        t += dt
-        vl_t = vl_end
-        out.append((t, pl_t - gamma - phi * v - m1, v, (vl_t - v) / phi))
-    return [np.asarray(col) for col in zip(*out)]
+    starts[k] = (t, p, v): tracker k joins the chain at time t (on the step
+    grid) from that state, riding v' = (v_ahead - v)/phi with p' = v, where
+    v_ahead is the leader's speed for tracker 0 and tracker k-1's for the
+    rest.  Returns the grid and each tracker's (p, v) on it (nan before it
+    joins).  Independent of the closed form: only leader.eval_many is used.
+    """
+    t0 = starts[0][0]
+    n = int(round((t_end - t0) / h))
+    v_lead = leader.eval_many(t0 + np.arange(2 * n + 1) * (h / 2))[1].tolist()
+    join = [int(round((t - t0) / h)) for t, _, _ in starts]
+    m = len(starts)
+    out = np.full((m, 2, n + 1), np.nan)
+    y = [math.nan] * (2 * m)  # p0, v0, p1, v1, ...
+
+    def rate(y, vl):
+        dy = []
+        for k in range(m):
+            ahead = vl if k == 0 else y[2 * k - 1]
+            dy += [y[2 * k + 1], (ahead - y[2 * k + 1]) / PHI]
+        return dy
+
+    for i in range(n + 1):
+        for k in range(m):
+            if join[k] == i:
+                y[2 * k], y[2 * k + 1] = starts[k][1], starts[k][2]
+        for k in range(m):
+            out[k, :, i] = y[2 * k], y[2 * k + 1]
+        if i == n:
+            break
+        k1 = rate(y, v_lead[2 * i])
+        k2 = rate([a + h / 2 * b for a, b in zip(y, k1)], v_lead[2 * i + 1])
+        k3 = rate([a + h / 2 * b for a, b in zip(y, k2)], v_lead[2 * i + 1])
+        k4 = rate([a + h * b for a, b in zip(y, k3)], v_lead[2 * i + 2])
+        y = [a + h / 6.0 * (b1 + 2 * b2 + 2 * b3 + b4) for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+    return t0 + np.arange(n + 1) * h, out
 
 
-def test_follow_arc_samples_equal_per_step_leader_evaluation_bitwise():
-    # the leader itself rides a follow arc, then its remainder; the
-    # follower reaches tangency on that follow arc and tracks through it
+def test_follow_arc_behind_a_tracked_leader_matches_fine_rk4():
+    # the leader itself rides follow arcs, then its remainder; the follower
+    # reaches tangency on those arcs and tracks through them
     lead = _leader_decel_then_accel()
     bvp = ZoneBVP(9, 0.0, 6.0, BoundaryState(95.0, 14.0), BoundaryState(172.0, 13.0), LIM)
-    arc, _tau2, info = follow_arc(0.0, (95.0, 14.0), lead, 0.0, 0.0, bvp, GAMMA, PHI)
-    tracked = one_zone(arc, *info["remainder"].arcs, zone=9)
+    arcs, tau, info = follow_arc(0.0, (95.0, 14.0), lead, 0.0, 0.0, bvp, GAMMA, PHI)
+    tracked = one_zone(*arcs, *info["remainder"].arcs, zone=9)
     pl, vl, _ = tracked.eval(0.5)
     v1 = vl + 1.0
     p1 = pl - GAMMA - PHI * v1
     bvp2 = ZoneBVP(9, 0.5, 7.0, BoundaryState(p1, v1), BoundaryState(p1 + 80.0, 13.0), LIM)
-    arc2, _tau, _info = follow_arc(0.5, (p1, v1), tracked, 0.0, 0.0, bvp2, GAMMA, PHI)
-    n_steps = len(arc2.samples[0]) - 1
-    assert n_steps > 1000 and arc2.t1 < arc.t1  # all of it behind the leader's follow arc
-    want = reference_follow_samples(0.5, p1, v1, tracked, n_steps, GAMMA, PHI)
-    for got_col, want_col in zip(arc2.samples, want):
-        assert got_col.tobytes() == want_col.tobytes()
+    arcs2, tau2, _info = follow_arc(0.5, (p1, v1), tracked, 0.0, 0.0, bvp2, GAMMA, PHI)
+    # all of it behind the leader's follow arcs, across the leader's join at t = 2
+    assert tau2 > 2.0 + 0.1 and tau2 < tau
+    assert len(arcs2) == 2 and all(len(a.g) == 2 for a in arcs2)
+    t, ref = rk4_chain(tracked, [(0.5, p1, v1)], tau2, 1e-5)
+    p, v, _ = one_zone(*arcs2).eval_many(t)
+    assert np.max(np.abs(p - ref[0, 0])) <= 1e-10
+    assert np.max(np.abs(v - ref[0, 1])) <= 1e-10
+
+
+def test_tracking_through_the_leaders_exit_matches_fine_rk4():
+    # the leader's trajectory ends at t = 2 and it coasts at 12 m/s after:
+    # the window from tangency at t = 1 runs two seconds past that
+    lead = one_zone(Arc("const", 0.0, 2.0, p0=102.8, v0=14.0, u0=-1.0))
+    pl, vl, _ = lead.eval(1.0)
+    v1 = vl + 0.5
+    p1 = pl - GAMMA - PHI * v1
+    arcs = trajectory._track(lead, 1.0, 4.0, p1, v1, PHI)
+    assert [(a.t0, a.t1) for a in arcs] == [(1.0, 2.0), (2.0, 4.0)]
+    coast = arcs[1]
+    assert (coast.v0, coast.u0, coast.slope, len(coast.g)) == (12.0, 0.0, 0.0, 1)
+    t, ref = rk4_chain(lead, [(1.0, p1, v1)], 4.0, 2.0**-12)
+    p, v, u = one_zone(*arcs).eval_many(t)
+    assert np.max(np.abs(p - ref[0, 0])) <= 1e-10
+    assert np.max(np.abs(v - ref[0, 1])) <= 1e-10
+    pl, vl, _ = lead.eval_many(t)
+    assert np.max(np.abs(u - (vl - v) / PHI)) <= 1e-10
+    assert np.max(np.abs(pl - p - GAMMA - PHI * v)) <= 1e-12
+
+
+def test_three_trackers_in_a_chain_match_fine_rk4():
+    # each tracker rides the spacing rule behind the one ahead, joining the
+    # chain a quarter second after it: the third one's G is a quadratic
+    lead = one_zone(
+        Arc("cubic", 0.0, 1.0, p0=200.0, v0=15.0, u0=-0.8, slope=0.3),
+        Arc("const", 1.0, 3.0, p0=214.65, v0=14.35, u0=0.4),
+    )
+    starts, chain = [], [lead]
+    for k, t1 in enumerate((0.0, 0.25, 0.5)):
+        pl, vl, _ = chain[-1].eval(t1)
+        v1 = vl + 0.3 * (k + 1)
+        p1 = pl - GAMMA - PHI * v1
+        starts.append((t1, p1, v1))
+        chain.append(one_zone(*trajectory._track(chain[-1], t1, 3.0, p1, v1, PHI)))
+    assert [max(len(a.g) for a in c.arcs) for c in chain[1:]] == [1, 2, 3]
+    t, ref = rk4_chain(lead, starts, 3.0, 2.0**-12)
+    for k, c in enumerate(chain[1:]):
+        on = t >= starts[k][0]
+        p, v, _ = c.eval_many(t[on])
+        assert np.max(np.abs(p - ref[k, 0, on])) <= 1e-10
+        assert np.max(np.abs(v - ref[k, 1, on])) <= 1e-10
+
+
+def test_follow_arc_control_bound_covers_a_fine_grid():
+    rng = np.random.default_rng(12)
+    for _ in range(600):
+        deg = int(rng.integers(0, 3))
+        arc = Arc(
+            "follow", 0.0, 10.0, p0=0.0, v0=10.0, u0=float(rng.normal()), slope=float(rng.normal(0.0, 0.3)),
+            tau=float(rng.uniform(0.05, 1.0)), g=tuple(float(x) for x in rng.normal(0.0, 2.0, deg + 1)),
+        )
+        s0 = float(rng.uniform(0.0, 2.0))
+        s1 = s0 + float(rng.exponential(1.0))
+        _p, _v, u = arc.eval_many(np.linspace(s0, s1, 4001))
+        assert arc.control_bound(s0, s1) >= np.abs(u).max() * (1.0 - 1e-12)
 
 
 @pytest.mark.xfail(
@@ -482,9 +562,9 @@ def test_follow_arc_control_respects_u_min_behind_slower_leader():
     # tangency behind a leader 4 m/s slower: entry control is (10 - 14)/0.2
     lead = one_zone(Arc("cruise", 0.0, 8.0, p0=102.8, v0=10.0))
     bvp = ZoneBVP(9, 0.0, 6.0, BoundaryState(95.0, 14.0), BoundaryState(155.0, 10.0), LIM)
-    arc, _tau2, info = follow_arc(0.0, (95.0, 14.0), lead, 0.0, 0.0, bvp, GAMMA, PHI)
+    arcs, _tau2, info = follow_arc(0.0, (95.0, 14.0), lead, 0.0, 0.0, bvp, GAMMA, PHI)
     assert abs(info["remainder"].t_end - bvp.t_end) <= TOL  # a clean exit was found
-    assert arc.control_extrema()[0] >= LIM.u_min - TOL
+    assert min(a.control_extrema()[0] for a in arcs) >= LIM.u_min - TOL
 
 
 # ---------------------------------------------------------------------------
@@ -495,8 +575,8 @@ def test_follow_arc_control_respects_u_min_behind_slower_leader():
 def reference_zone_eval(traj: Trajectory, t: np.ndarray):
     """Hold the start state before the first arc, route each time to the
     first zone and then the first arc ending at or after it (else the
-    last), evaluate that arc alone with Arc.eval_many, which interpolates
-    follow samples, and coast at the exit speed past the end."""
+    last), evaluate that arc alone with Arc.eval_many, and coast at the
+    exit speed past the end."""
     zones = [traj.zone(z) for z in dict.fromkeys(traj.zone_ids)]
     out = np.empty((3, len(t)))
     for i, ti in enumerate(t):
@@ -511,11 +591,11 @@ def reference_zone_eval(traj: Trajectory, t: np.ndarray):
 
 
 def kernel_times(traj: Trajectory) -> np.ndarray:
-    """Times before the start, on every arc edge, inside arcs and follow
-    samples, and past the end."""
+    """Times before the start, on every arc edge, inside arcs, densely
+    inside follow arcs, and past the end."""
     edges = [a.t0 for a in traj.arcs] + [a.t1 for a in traj.arcs]
     inside = [0.5 * (a.t0 + a.t1) for a in traj.arcs]
-    follow = [a.samples[0][1:40:3] + 3e-4 for a in traj.arcs if a.label == "follow"]
+    follow = [np.linspace(a.t0, a.t1, 15)[1:-1] + 3e-4 for a in traj.arcs if a.label == "follow"]
     grid = np.linspace(traj.t_start, traj.t_end, 301)
     return np.concatenate([[traj.t_start - 1.0], edges, inside, *follow, grid, [traj.t_end + 2.0]])
 
@@ -526,8 +606,8 @@ def test_zone_kernel_matches_per_arc_eval_bitwise():
     assert len(saturated.arcs) > 3
     lead = _leader_decel_then_accel()
     bvp = ZoneBVP(9, 0.0, 6.0, BoundaryState(95.0, 14.0), BoundaryState(172.0, 13.0), LIM)
-    arc, _tau2, info = follow_arc(0.0, (95.0, 14.0), lead, 0.0, 0.0, bvp, GAMMA, PHI)
-    tracked = one_zone(arc, *info["remainder"].arcs, zone=9)
+    arcs, _tau2, info = follow_arc(0.0, (95.0, 14.0), lead, 0.0, 0.0, bvp, GAMMA, PHI)
+    tracked = one_zone(*arcs, *info["remainder"].arcs, zone=9)
     for traj in (saturated, lead, tracked):
         t = kernel_times(traj)
         # the whole window alone, and with times before and after it
@@ -681,20 +761,20 @@ def test_exit_screen_finds_a_one_sample_dip_at_arc_joins():
     assert assert_screen_matches(lead, 0.0, foll, 0.0, 0.0, 1.0, 0.0, PHI) == -1e-3
 
 
-def test_exit_screen_bound_is_tight_on_a_follow_arc_kink():
-    # a follow arc whose interpolated position is a V with slopes -1 and +1
-    # and its vertex 1 mm below zero on a sample between two coarse ones:
-    # the margin's Lipschitz bound is exactly its slope there, so any
-    # smaller bound would clear the segment and miss the dip
-    tc = between_coarse_samples(16)
-    ts = np.asarray([0.0, tc, 1.0])
-    ps = -1e-3 + np.abs(ts - tc)
-    zeros = np.zeros(3)
-    lead = one_zone(Arc("follow", 0.0, 1.0, samples=(ts, ps, zeros, zeros)))
+def test_exit_screen_bound_covers_a_follow_arcs_exponential_dip():
+    # a follow arc at rest apart from its exponential part g2*s^2*e^(-s/tau),
+    # which dips 1 mm at s = 2*tau = 4 ms and has died out by the next
+    # coarse sample: the speeds there differ by about 2e-5 m/s, and the
+    # margins at both coarse ends sit 2 um above zero, so only the exponential
+    # part's control bound keeps the first segment open
+    tau = 0.002
+    g2 = -1e-3 / (4 * tau * tau * math.exp(-2.0))
+    lead = one_zone(Arc("follow", 0.0, 1.0, p0=2e-6, tau=tau, g=(0.0, 0.0, g2)))
     foll = const_speed_traj(0.0, 0.0, 0.0, 1.0)
-    assert one_sample_dip(lead, foll, tc)
+    runs = check_rear_end(lead, 0.0, foll, 0.0, 0.0, 1.0, 0.0, PHI, dt=1e-3, tol=5e-7)
+    assert len(runs) == 1 and 0.0 < runs[0][0] and runs[0][1] < _SCREEN_STRIDE * 1e-3
     got = assert_screen_matches(lead, 0.0, foll, 0.0, 0.0, 1.0, 0.0, PHI)
-    assert got == pytest.approx(-1e-3, abs=1e-12)
+    assert got == pytest.approx(2e-6 - 1e-3, abs=1e-12)
 
 
 def test_exit_screen_equals_full_scan_behind_a_tracked_leader():
@@ -702,8 +782,8 @@ def test_exit_screen_equals_full_scan_behind_a_tracked_leader():
     # follower is a cruise placed to pinch at several depths
     lead = _leader_decel_then_accel()
     bvp = ZoneBVP(9, 0.0, 6.0, BoundaryState(95.0, 14.0), BoundaryState(172.0, 13.0), LIM)
-    arc, _tau2, info = follow_arc(0.0, (95.0, 14.0), lead, 0.0, 0.0, bvp, GAMMA, PHI)
-    tracked = one_zone(arc, *info["remainder"].arcs, zone=9)
+    arcs, _tau2, info = follow_arc(0.0, (95.0, 14.0), lead, 0.0, 0.0, bvp, GAMMA, PHI)
+    tracked = one_zone(*arcs, *info["remainder"].arcs, zone=9)
     found = 0
     for p0 in np.linspace(70.0, 90.0, 9):
         foll = one_zone(Arc("const", 0.0, 6.0, p0=float(p0), v0=13.0, u0=-0.4), zone=9)
