@@ -2,12 +2,14 @@
 
     python3 scripts/compare_runs.py OLD_CHECKOUT NEW_CHECKOUT [--work DIR] [--jobs 2]
 
-Each checkout's `src/` runs the same 35 configs through `cli.main`: the 20
+Each checkout's `src/` runs the same 36 configs through `cli.main`: the 20
 light-traffic runs (400-1000 veh/h, seeds 1-5), 1200 veh/h seeds 1-6, Poisson
 (30,2) under all three policies, (45,3) decentralized and centralized, (75,5)
-centralized, and FIFO (18,5), (20,5) and (60,4), whose repairs track leaders
-that are tracking themselves.  `corridor validate --seed 0` runs once per
-checkout as well.  Per run the script keeps the three artifacts, stdout with
+centralized, and FIFO (18,5), (20,5), (60,4), whose repairs track leaders
+that are tracking themselves, and (75,5), whose repairs solve the most
+cruise-pinned zones.  `corridor validate` runs on seeds 0-4 per checkout as
+well: only its trajectory suite draws random limits and pins cruises at
+v_max.  Per run the script keeps the three artifacts, stdout with
 the exit code, and a repair log: each tracking stretch's vehicle, zone,
 start and end time.  A stretch is a run of consecutive follow arcs in one
 zone, so a checkout that stores one follow arc per leader piece logs the
@@ -48,7 +50,7 @@ def _configs() -> dict[str, dict]:
         cfgs[f"vol1200-s{seed}"] = {"volume_veh_h": 1200.0, "seed": seed}
     cells = [(30, 2, p) for p in ("decentralized", "fifo", "centralized")]
     cells += [(45, 3, "decentralized"), (45, 3, "centralized"), (75, 5, "centralized")]
-    cells += [(18, 5, "fifo"), (20, 5, "fifo"), (60, 4, "fifo")]
+    cells += [(18, 5, "fifo"), (20, 5, "fifo"), (60, 4, "fifo"), (75, 5, "fifo")]
     for n, seed, policy in cells:
         cfgs[f"poisson{n}-s{seed}-{policy}"] = {
             "arrival_mode": "poisson", "n_vehicles": n, "seed": seed, "policy": policy,
@@ -121,7 +123,8 @@ def _jobs(checkout: str, side_dir: str) -> list[tuple]:
         with open(cfg_path, "w") as f:
             json.dump(cfg, f)
         jobs.append((checkout, out_dir, ["run", "--config", cfg_path, "--out", out_dir, "--force"]))
-    jobs.append((checkout, os.path.join(side_dir, "validate"), ["validate", "--seed", "0"]))
+    for seed in range(5):
+        jobs.append((checkout, os.path.join(side_dir, f"validate-s{seed}"), ["validate", "--seed", str(seed)]))
     return jobs
 
 

@@ -8,18 +8,19 @@ where a control bound saturates, and constant-speed arcs where a speed bound
 pins the state.  Because the effort Hamiltonian keeps the position costate
 constant across a zone, all unconstrained stretches share one control slope;
 control is continuous at control-bound junctions and zero where a cruise
-begins or ends.  That structure reduces every zone solve to at most one
-one-dimensional root-find:
+begins or ends.  That structure puts every zone solve in closed form:
 
-  - pure cubic when nothing saturates, its coefficients in closed form
-    (_cubic_coeffs),
-  - saturated-linear control (bang / cubic / bang) matched by a single
-    junction-time root when only control bounds bind, bracketed on a grid
-    evaluated as one array and refined by brentq,
+  - pure cubic when nothing saturates, its coefficients from the four
+    boundary conditions (_cubic_coeffs),
+  - saturated-linear control (bang / cubic / bang) when only control bounds
+    bind: a one-sided bang's junction time is the root of a linear
+    equation, and bang / cubic / bang's the smaller root of a quadratic
+    (_sat_linear),
   - ramp / cruise / ramp pinned at v_max or v_min, parametrized by the shared
     control slope, when a speed bound binds; the least slope whose ramps
-    fit is one quadratic root (_min_cruise_slope), the landing slope a
-    brentq root above it,
+    fit is one quadratic root (_min_cruise_slope), and the landing slope,
+    in x = 1/sqrt(slope), the root of a*x^4 + b*x = c on the one interval
+    between ramp breakpoints that holds it (_with_cruise),
   - the closed-form fastest or slowest profile when the window equals the
     zone's release or deadline.
 
@@ -53,7 +54,6 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .kinematics import BoundaryState, InfeasibleBoundary, deadline, release_time
 from .scheduler import ZoneBounds
@@ -430,46 +430,32 @@ def _verify(bvp: ZoneBVP, traj: Trajectory) -> Trajectory:
     return traj
 
 
-def _bracket_brentq(f, lo: float, hi: float, n_scan: int = 96) -> float | None:
-    """Scan for a sign change, then refine.  None when no bracket exists.
-
-    f is evaluated once, on the whole scan grid as an array; brentq then
-    calls it on floats.  f must be elementwise float arithmetic (no array
-    powers), so each grid value equals f at that point bit for bit and the
-    scan's signs are the refinement's.  A non-finite value breaks the
-    bracket at its point.
-    """
-    if hi <= lo:
-        return None
-    xs = np.linspace(lo, hi, n_scan).tolist()
-    with np.errstate(all="ignore"):
-        fs = f(np.asarray(xs)).tolist()
-    prev = None
-    for i, fx in enumerate(fs):
-        if not math.isfinite(fx):
-            prev = None
-            continue
-        if fx == 0.0:
-            return xs[i]
-        if prev is not None and (fx > 0) != (fs[prev] > 0):
-            return float(brentq(f, xs[prev], xs[i], xtol=1e-13, rtol=8.9e-16, maxiter=200))
-        prev = i
-    return None
-
-
 def _sat_linear(bvp: ZoneBVP, u_raw0: float, u_raw1: float) -> list[_Piece] | None:
     """Saturated-linear control: optional bang, cubic, optional bang.
 
     Control continuity at each junction pins the cubic's value to the bound
-    there, leaving junction times as the only unknowns; the speed chain makes
-    their sum affine, so everything reduces to one root-find.  Each residual
-    is plain float arithmetic (closed-form _cubic_coeffs, d*d*d for a cube),
-    so _bracket_brentq's array scan and brentq's float calls agree.
+    there, leaving junction times as the only unknowns, each in closed form.
+    With D0 = pe - ps - vs*w and E0 = ve - vs:
+      - a lead bang U alone lasts (6*D0 - 2*E0*w - U*w^2) / (2*(U*w - E0)),
+        where the cubic after it starts at control U (an equation linear in
+        the junction time);
+      - before a tail bang U alone, the cubic lasts
+        (6*(pe - ps) - 6*ve*w + 3*U*w^2) / (2*(U*w - E0)), where it ends at
+        control U;
+      - bang U1 / cubic / bang U2: the speed chain makes the junction times
+        sum to S, and the landing position is a quadratic in tau1
+        symmetric about S/2, so the middle cubic lasts
+        d = sqrt(12*S*w - 3*S^2 + (12*U2*w^2 - 24*D0)/(U1 - U2)) and
+        tau1 = (S - d)/2.
+    A junction outside its window range, a zero denominator or a negative
+    radicand means that structure does not exist: a one-sided bang falls
+    through to the two-bang case, and a two-bang miss returns None.
     """
     lim = bvp.limits
     w = bvp.window
     ps, vs = bvp.start.position, bvp.start.speed
     pe, ve = bvp.end.position, bvp.end.speed
+    d0, e0 = pe - ps - vs * w, ve - vs
 
     def clipv(u):
         if u > lim.u_max:
@@ -483,15 +469,9 @@ def _sat_linear(bvp: ZoneBVP, u_raw0: float, u_raw1: float) -> list[_Piece] | No
 
     if lead is not None and tail is None:
         U = lead
-
-        def residual(tau):
-            v1 = vs + U * tau
-            p1 = ps + vs * tau + 0.5 * U * tau * tau
-            a, b = _cubic_coeffs(w - tau, p1, v1, pe, ve)
-            return b - U
-
-        tau = _bracket_brentq(residual, 1e-11, w - 1e-9)
-        if tau is not None:
+        den = 2.0 * (U * w - e0)
+        tau = (6.0 * d0 - 2.0 * e0 * w - U * w * w) / den if den else math.nan
+        if 1e-11 <= tau <= w - 1e-9:
             v1 = vs + U * tau
             p1 = ps + vs * tau + 0.5 * U * tau * tau
             a, b = _cubic_coeffs(w - tau, p1, v1, pe, ve)
@@ -504,16 +484,9 @@ def _sat_linear(bvp: ZoneBVP, u_raw0: float, u_raw1: float) -> list[_Piece] | No
 
     elif tail is not None and lead is None:
         U = tail
-
-        def residual(tau):
-            dur = w - tau
-            v1 = ve - U * dur
-            p1 = pe - ve * dur + 0.5 * U * dur * dur
-            a, b = _cubic_coeffs(tau, ps, vs, p1, v1)
-            return (b + a * tau) - U
-
-        tau = _bracket_brentq(residual, 1e-9, w - 1e-11)
-        if tau is not None:
+        den = 2.0 * (U * w - e0)
+        tau = (6.0 * (pe - ps) - 6.0 * ve * w + 3.0 * U * w * w) / den if den else math.nan
+        if 1e-9 <= tau <= w - 1e-11:
             dur = w - tau
             v1 = ve - U * dur
             p1 = pe - ve * dur + 0.5 * U * dur * dur
@@ -530,24 +503,13 @@ def _sat_linear(bvp: ZoneBVP, u_raw0: float, u_raw1: float) -> list[_Piece] | No
 
     U1, U2 = lead, tail
     # speed chain: U1*t1 + (U1+U2)(t2-t1)/2 + U2*(w-t2) = ve - vs
-    # collapses to t1 + t2 = S, leaving the landing position as the residual
+    # collapses to t1 + t2 = S
     S = 2.0 * (ve - vs - U2 * w) / (U1 - U2)
-
-    def landing(tau1):
-        tau2 = S - tau1
-        d = tau2 - tau1
-        v1 = vs + U1 * tau1
-        p1 = ps + vs * tau1 + 0.5 * U1 * tau1 * tau1
-        a = (U2 - U1) / d
-        v2 = v1 + U1 * d + 0.5 * a * d * d
-        p2 = p1 + v1 * d + 0.5 * U1 * d * d + a * (d * d * d) / 6.0
-        rem = w - tau2
-        return p2 + v2 * rem + 0.5 * U2 * rem * rem - pe
-
-    lo = max(0.0, S - w) + 1e-11
-    hi = S / 2.0 - 1e-11
-    tau1 = _bracket_brentq(landing, lo, min(hi, w - 1e-11))
-    if tau1 is None:
+    rad = 12.0 * S * w - 3.0 * S * S + (12.0 * U2 * w * w - 24.0 * d0) / (U1 - U2)
+    if rad < 0.0:
+        return None
+    tau1 = 0.5 * (S - math.sqrt(rad))
+    if not (max(0.0, S - w) + 1e-11 <= tau1 <= min(S / 2.0, w) - 1e-11):
         return None
     tau2 = S - tau1
     if not (tau1 < tau2 <= w + 1e-9):
@@ -561,12 +523,12 @@ def _sat_linear(bvp: ZoneBVP, u_raw0: float, u_raw1: float) -> list[_Piece] | No
     ]
 
 
-def _cruise_pieces(bvp: ZoneBVP, v_pin: float, A: float) -> tuple[list[_Piece], float] | None:
+def _cruise_pieces(bvp: ZoneBVP, v_pin: float, A: float) -> list[_Piece] | None:
     """Ramp / cruise / ramp structure pinned at v_pin for control slope A.
 
     Both ramps share the slope magnitude (the position costate is one
-    constant per zone) and meet the cruise with zero control.  Returns
-    (pieces, landing position) or None when the ramps outgrow the window.
+    constant per zone) and meet the cruise with zero control.  Returns the
+    pieces, or None when the ramps outgrow the window.
     """
     lim = bvp.limits
     w = bvp.window
@@ -604,34 +566,39 @@ def _cruise_pieces(bvp: ZoneBVP, v_pin: float, A: float) -> tuple[list[_Piece], 
     t_cruise = w - t_in - t_out
     if t_cruise < -1e-10:
         return None
-    pieces = pieces_in + [_Piece("cruise", max(t_cruise, 0.0), 0.0, 0.0)] + pieces_out
-    # landing position via exact piecewise integration
-    p, v = bvp.start.position, bvp.start.speed
-    for pc in pieces:
-        p += v * pc.dur + 0.5 * pc.u0 * pc.dur**2 + pc.slope * pc.dur**3 / 6.0
-        v += pc.u0 * pc.dur + 0.5 * pc.slope * pc.dur**2
-    return pieces, p
+    return pieces_in + [_Piece("cruise", max(t_cruise, 0.0), 0.0, 0.0)] + pieces_out
 
 
-def _min_cruise_slope(bvp: ZoneBVP, v_pin: float) -> float:
-    """Smallest control slope whose ramps fit the window, in closed form.
+def _ramps(bvp: ZoneBVP, v_pin: float) -> list[tuple[float, float, float, float]]:
+    """Per ramp into and out of a cruise at v_pin: (d, ub, r, xb).
 
-    With x = 1/sqrt(A), a ramp changing speed by d under the bound ub lasts
-    sqrt(2d)*x while its peak control stays within ub (x >= sqrt(2d)/ub) and
-    d/ub + ub*x^2/2 once it saturates.  The total is continuous and rising
-    in x and a quadratic between the breakpoints, so t_in + t_out = w is one
-    quadratic root; _cruise_pieces' fit test lets the cruise run 1e-10
-    short, which absorbs the rounding.  Slopes below 1e-9 are raised to it;
-    ramps that need more than 1e9, or never fit, raise PiecingDiverged.
+    d is the ramp's speed change, ub the control bound it saturates at,
+    r = sqrt(2d), and xb = r/ub the breakpoint in x = 1/sqrt(A) below
+    which the ramp saturates.  Ramps under 1e-14 m/s are left out, as
+    _cruise_pieces leaves them out.
     """
     lim = bvp.limits
-    # per ramp: d, ub, sqrt(2d) and its breakpoint in x
     ramps = []
     for dv in (v_pin - bvp.start.speed, bvp.end.speed - v_pin):
         if abs(dv) >= 1e-14:
             ub = lim.u_max if dv > 0 else -lim.u_min
             r = math.sqrt(2.0 * abs(dv))
             ramps.append((abs(dv), ub, r, r / ub))
+    return ramps
+
+
+def _min_cruise_slope(bvp: ZoneBVP, v_pin: float) -> float:
+    """Smallest control slope whose ramps fit the window, in closed form.
+
+    With x = 1/sqrt(A), a ramp (_ramps) lasts r*x while its peak control
+    stays within ub (x >= xb) and d/ub + ub*x^2/2 once it saturates.  The
+    total is continuous and rising in x and a quadratic between the
+    breakpoints, so t_in + t_out = w is one quadratic root; _cruise_pieces'
+    fit test lets the cruise run 1e-10 short, which absorbs the rounding.
+    Slopes below 1e-9 are raised to it; ramps that need more than 1e9, or
+    never fit, raise PiecingDiverged.
+    """
+    ramps = _ramps(bvp, v_pin)
     if not ramps:
         return 1e-9
 
@@ -658,35 +625,49 @@ def _min_cruise_slope(bvp: ZoneBVP, v_pin: float) -> float:
 
 
 def _with_cruise(bvp: ZoneBVP, v_pin: float) -> list[_Piece]:
-    """Find the control slope whose ramp/cruise/ramp lands on the exit state."""
-    pe = bvp.end.position
+    """Ramp / cruise / ramp at the control slope that lands on the exit state.
+
+    The cruise lands at ps + v_pin*w + sigma*sum(D_i), with sigma = +1 at
+    v_min and -1 at v_max and D_i the integral of |v - v_pin| over ramp i.
+    In x = 1/sqrt(A), a ramp (_ramps) has D = d*r*x/3 while unsaturated
+    (x >= xb) and d^2/(2*ub) + ub^3*x^4/24 once it saturates: continuous
+    and rising in x.  So the sums at the breakpoints pick the one interval
+    of x in (0, x_max] (x_max from _min_cruise_slope) that holds the root,
+    and there a*x^4 + b*x = c with a, b >= 0.  That is linear, a fourth
+    root, or, with both terms, convex and rising: Newton from
+    min((c/a)^(1/4), c/b), which lies at or above the root, falls
+    monotonically onto it and stops when x stops falling.  A root past
+    x_max keeps the least slope, and _verify judges its landing.
+    """
+    ramps = _ramps(bvp, v_pin)
     a_min = _min_cruise_slope(bvp, v_pin)
+    x_max = 1.0 / math.sqrt(a_min)
+    sigma = -1.0 if v_pin == bvp.limits.v_max else 1.0
+    c = sigma * (bvp.end.position - bvp.start.position - v_pin * bvp.window)
 
-    def landing(A):
-        out = _cruise_pieces(bvp, v_pin, A)
-        if out is None:
-            raise ValueError
-        return out[1] - pe
+    def excess(x: float) -> float:
+        return sum(d * r * x / 3.0 if x >= xb else d * d / (2.0 * ub) + ub**3 * x**4 / 24.0 for d, ub, r, xb in ramps)
 
-    g_min = landing(a_min)
-    a_hi = a_min
-    for _ in range(120):
-        a_hi *= 2.0
-        try:
-            g_hi = landing(a_hi)
-        except ValueError:
-            raise PiecingDiverged(f"zone {bvp.zone_id}: cruise bracket lost")
-        if (g_hi > 0) != (g_min > 0):
-            a_star = brentq(landing, a_min if a_min < a_hi else a_hi, a_hi, xtol=1e-14, rtol=8.9e-16, maxiter=300)
-            pieces, _p = _cruise_pieces(bvp, v_pin, a_star)
-            return pieces
-        if abs(g_hi) <= 1e-10:
-            pieces, _p = _cruise_pieces(bvp, v_pin, a_hi)
-            return pieces
-    if abs(g_min) <= 1e-8:
-        pieces, _p = _cruise_pieces(bvp, v_pin, a_min)
-        return pieces
-    raise PiecingDiverged(f"zone {bvp.zone_id}: no cruise slope lands on the exit state")
+    # the first breakpoint (or x_max) whose excess reaches c closes the
+    # root's interval: ramps breaking before it run unsaturated, the rest
+    # saturate
+    x_hi = next((x for x in sorted(xb for *_, xb in ramps if xb < x_max) if excess(x) >= c), x_max)
+    a = b = 0.0
+    for d, ub, r, xb in ramps:
+        if xb < x_hi:
+            b += d * r / 3.0
+        else:
+            a += ub**3 / 24.0
+            c -= d * d / (2.0 * ub)
+    if not ramps or c <= 0.0:
+        raise PiecingDiverged(f"zone {bvp.zone_id}: no cruise slope lands on the exit state")
+    x = min((c / a) ** 0.25 if a else math.inf, c / b if b else math.inf)
+    while True:
+        nxt = x - (a * x**4 + b * x - c) / (4.0 * a * x**3 + b)
+        if not nxt < x:
+            break
+        x = nxt
+    return _cruise_pieces(bvp, v_pin, max(1.0 / (x * x), a_min))
 
 
 def _cubic_speed_violation(bvp: ZoneBVP, pieces: list[_Piece]) -> float | None:

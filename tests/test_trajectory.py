@@ -7,6 +7,9 @@ sinusoidal perturbations around the cubic.
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -32,6 +35,7 @@ from corridor.trajectory import (
     _min_cruise_slope,
     _Piece,
     _sat_linear,
+    _with_cruise,
     check_rear_end,
     follow_arc,
     solve_unconstrained,
@@ -892,30 +896,210 @@ def test_array_cubic_coeffs_equal_scalar_calls_bitwise():
         assert (a[i].hex(), b[i].hex()) == (sa.hex(), sb.hex())
 
 
-def test_junction_scan_residuals_equal_their_scalar_calls(monkeypatch):
-    # every residual _sat_linear scans (one-sided roots and the two-bang
-    # landing) gives on the scan grid what brentq gets from it on floats
-    bracket = trajectory._bracket_brentq
-    scanned = []
+def bisected_root(f, lo, hi, n_scan=400):
+    """The first sign change of f on an n_scan-point grid over [lo, hi],
+    bisected on floats until the bracket's midpoint is one of its ends;
+    None when the grid shows no sign change."""
+    if hi <= lo:
+        return None
+    prev = None
+    for x in np.linspace(lo, hi, n_scan).tolist():
+        fx = f(x)
+        if fx == 0.0:
+            return x
+        if prev is not None and (fx > 0) != (prev[1] > 0):
+            a, fa, b = prev[0], prev[1], x
+            while a < 0.5 * (a + b) < b:
+                m = 0.5 * (a + b)
+                fm = f(m)
+                if fm == 0.0:
+                    return m
+                if (fm > 0) == (fa > 0):
+                    a, fa = m, fm
+                else:
+                    b = m
+            return 0.5 * (a + b)
+        prev = (x, fx)
+    return None
 
-    def spy(f, lo, hi, n_scan=96):
-        xs = np.linspace(lo, hi, n_scan)
-        with np.errstate(all="ignore"):
-            fs = f(xs)
-        scanned.append((f.__name__, [(fx.hex(), float(f(float(x))).hex()) for x, fx in zip(xs, fs)]))
-        return bracket(f, lo, hi, n_scan)
 
-    monkeypatch.setattr(trajectory, "_bracket_brentq", spy)
-    for bvp in random_interior_bvps(7, 1500):
+def reference_sat_linear(bvp, u_raw0, u_raw1):
+    """Saturated-linear pieces from the junction residuals themselves: the
+    cubic's control meets a lead or tail bang, or a two-bang structure
+    lands on pe, each root found by bisected_root over the solver's ranges.
+    Returns (label, duration, u0) per piece, or None."""
+    lim, w = bvp.limits, bvp.window
+    ps, vs, pe, ve = bvp.start.position, bvp.start.speed, bvp.end.position, bvp.end.speed
+    clip = lambda u: lim.u_max if u > lim.u_max else lim.u_min if u < lim.u_min else None
+    lead, tail = clip(u_raw0), clip(u_raw1)
+    other = lambda U: lim.u_min if U == lim.u_max else lim.u_max
+    if lead is not None and tail is None:
+        U = lead
+
+        def lead_cubic(tau):
+            return _cubic_coeffs(w - tau, ps + vs * tau + 0.5 * U * tau * tau, vs + U * tau, pe, ve)
+
+        tau = bisected_root(lambda tau: lead_cubic(tau)[1] - U, 1e-11, w - 1e-9)
+        if tau is None:
+            tail = other(U)
+        else:
+            a, b = lead_cubic(tau)
+            tail = clip(b + a * (w - tau))
+            if tail is None:
+                return [("const", tau, U), ("cubic", w - tau, b)]
+    elif tail is not None and lead is None:
+        U = tail
+
+        def tail_cubic(tau):
+            dur = w - tau
+            return _cubic_coeffs(tau, ps, vs, pe - ve * dur + 0.5 * U * dur * dur, ve - U * dur)
+
+        def tail_control(tau):
+            a, b = tail_cubic(tau)
+            return b + a * tau - U
+
+        tau = bisected_root(tail_control, 1e-9, w - 1e-11)
+        if tau is None:
+            lead = other(U)
+        else:
+            a, b = tail_cubic(tau)
+            lead = clip(b)
+            if lead is None:
+                return [("cubic", tau, b), ("const", w - tau, U)]
+    if lead is None or tail is None or lead == tail:
+        return None
+    U1, U2 = lead, tail
+    S = 2.0 * (ve - vs - U2 * w) / (U1 - U2)
+
+    def landing(tau1):
+        tau2 = S - tau1
+        d = tau2 - tau1
+        v1, p1 = vs + U1 * tau1, ps + vs * tau1 + 0.5 * U1 * tau1 * tau1
+        a = (U2 - U1) / d
+        v2 = v1 + U1 * d + 0.5 * a * d * d
+        p2 = p1 + v1 * d + 0.5 * U1 * d * d + a * d * d * d / 6.0
+        rem = w - tau2
+        return p2 + v2 * rem + 0.5 * U2 * rem * rem - pe
+
+    tau1 = bisected_root(landing, max(0.0, S - w) + 1e-11, min(S / 2.0 - 1e-11, w - 1e-11))
+    if tau1 is None or not (tau1 < S - tau1 <= w + 1e-9):
+        return None
+    return [("const", tau1, U1), ("cubic", S - 2.0 * tau1, U1), ("const", w - (S - tau1), U2)]
+
+
+def saturating_bvps(seed, n):
+    """random_interior_bvps whose cubic keeps to the speed limits but breaks
+    a control bound: the problems solve_zone hands to _sat_linear."""
+    for bvp in random_interior_bvps(seed, n):
         w = bvp.window
         a, b = _cubic_coeffs(w, 0.0, bvp.start.speed, bvp.end.position, bvp.end.speed)
         if _cubic_speed_violation(bvp, [_Piece("cubic", w, b, a)]) is None:
             if not (LIM.u_min <= b <= LIM.u_max and LIM.u_min <= b + a * w <= LIM.u_max):
-                _sat_linear(bvp, b, b + a * w)
-    kinds = [name for name, _ in scanned]
-    assert min(kinds.count("residual"), kinds.count("landing")) >= 100
-    for _name, pairs in scanned:
-        assert all(got == want for got, want in pairs)
+                yield bvp, b, b + a * w
+
+
+def test_junction_times_match_bisected_residuals():
+    shapes = []
+    for bvp, u0, u1 in saturating_bvps(7, 1500):
+        got, want = _sat_linear(bvp, u0, u1), reference_sat_linear(bvp, u0, u1)
+        assert (got is None) == (want is None)
+        if got is None:
+            continue
+        assert [pc.label for pc in got] == [label for label, _, _ in want]
+        for pc, (label, dur, u0) in zip(got, want):
+            assert abs(pc.dur - dur) <= 1e-9
+            assert label == "cubic" or pc.u0 == u0
+        shapes.append(len(got))
+    # one-sided (bang and cubic) and two-bang (bang, cubic, bang) junctions
+    assert min(shapes.count(2), shapes.count(3)) >= 100
+
+
+def cruise_landing(bvp, pieces):
+    """Exit position of a piece list, integrated piece by piece."""
+    p, v = bvp.start.position, bvp.start.speed
+    for pc in pieces:
+        p += v * pc.dur + 0.5 * pc.u0 * pc.dur**2 + pc.slope * pc.dur**3 / 6.0
+        v += pc.u0 * pc.dur + 0.5 * pc.slope * pc.dur**2
+    return p
+
+
+def reference_cruise_slope(bvp, v_pin):
+    """The control slope whose ramps land on pe, by float bisection of the
+    landing from the least slope that fits, doubled until it brackets."""
+    landing = lambda A: cruise_landing(bvp, _cruise_pieces(bvp, v_pin, A)) - bvp.end.position
+    lo = _min_cruise_slope(bvp, v_pin)
+    f_lo, hi = landing(lo), 2.0 * lo
+    while (landing(hi) > 0) == (f_lo > 0):
+        hi *= 2.0
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if (landing(mid) > 0) == (f_lo > 0):
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def pinned_speed(bvp):
+    """The speed bound solve_zone pins a cruise at, or None."""
+    w = bvp.window
+    a, b = _cubic_coeffs(w, bvp.start.position, bvp.start.speed, bvp.end.position, bvp.end.speed)
+    v_pin = _cubic_speed_violation(bvp, [_Piece("cubic", w, b, a)])
+    if v_pin is None and not (LIM.u_min <= b <= LIM.u_max and LIM.u_min <= b + a * w <= LIM.u_max):
+        v_pin = _cubic_speed_violation(bvp, _sat_linear(bvp, b, b + a * w))
+    return v_pin
+
+
+def test_cruise_slope_matches_bisected_landing():
+    ceiling = bvp_for(600.0, 15.0, 15.0, bounds_for(600.0, 15.0, 15.0).release + 0.1)
+    cases = [(bvp, pinned_speed(bvp)) for bvp in [ceiling, *random_interior_bvps(11, 4000)]]
+    cases = [(bvp, v_pin) for bvp, v_pin in cases if v_pin is not None]
+    assert cases[0][1] == LIM.v_max
+    for bvp, v_pin in cases:
+        got = _with_cruise(bvp, v_pin)
+        want = _cruise_pieces(bvp, v_pin, reference_cruise_slope(bvp, v_pin))
+        assert [pc.label for pc in got] == [pc.label for pc in want]
+        for a, b in zip(got, want):
+            assert abs(a.dur - b.dur) <= 1e-9
+        assert abs(cruise_landing(bvp, got) - bvp.end.position) <= 1e-9
+    assert sum(v_pin == LIM.v_min for _, v_pin in cases) >= 100
+
+
+# Every zone-solve branch, run where any import of scipy fails.
+_NO_SCIPY = """
+import sys
+sys.modules["scipy"] = None
+import corridor.cli
+from corridor.kinematics import BoundaryState, Limits, deadline, release_time
+from corridor.scheduler import ZoneBounds
+from corridor.trajectory import ZoneBVP, solve_zone
+lim = Limits(-1.0, 1.0, 5.0, 25.0)
+for length, vs, ve, w in (
+    (300.0, 15.0, 15.0, 25.0), (150.0, 5.0, 15.0, 14.0), (150.0, 15.0, 5.0, 14.0),
+    (300.0, 15.0, 15.0, 16.5), (300.0, 15.0, 15.0, 38.0), (600.0, 15.0, 15.0, None),
+):
+    start, end = BoundaryState(0.0, vs), BoundaryState(length, ve)
+    bounds = ZoneBounds(release_time(start, end, lim).time, deadline(start, end, lim).time)
+    if w is None:  # 0.1 s above the release: a cruise at v_max
+        w = bounds.release + 0.1
+    arcs = solve_zone(ZoneBVP(0, 0.0, w, start, end, lim), bounds).arcs
+    print(*(f"cruise@{a.v0:.9g}" if a.label == "cruise" else a.label for a in arcs))
+"""
+
+
+def test_zone_solve_runs_without_scipy():
+    src = os.path.dirname(os.path.dirname(trajectory.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "cubic",
+        "const cubic",
+        "cubic const",
+        "const cubic const",
+        "const cubic cruise@5 cubic const",
+        "const cubic cruise@25 cubic const",
+    ]
 
 
 def reference_min_cruise_slope(bvp, v_pin):
