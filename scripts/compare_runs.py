@@ -2,12 +2,13 @@
 
     python3 scripts/compare_runs.py OLD_CHECKOUT NEW_CHECKOUT [--work DIR] [--jobs 2]
 
-Each checkout's `src/` runs the same 36 configs through `cli.main`: the 20
-light-traffic runs (400-1000 veh/h, seeds 1-5), 1200 veh/h seeds 1-6, Poisson
-(30,2) under all three policies, (45,3) decentralized and centralized, (75,5)
-centralized, and FIFO (18,5), (20,5), (60,4), whose repairs track leaders
-that are tracking themselves, and (75,5), whose repairs solve the most
-cruise-pinned zones.  `corridor validate` runs on seeds 0-4 per checkout as
+Each checkout's `src/` runs the same 38 configs through `cli.main`: the 20
+light-traffic runs (400-1000 veh/h, seeds 1-5), 1000 veh/h seeds 6 and 8,
+whose decentralized repairs lie outside the 1200 veh/h cells, 1200 veh/h
+seeds 1-6, Poisson (30,2) under all three policies, (45,3) decentralized
+and centralized, (75,5) centralized, and FIFO (18,5), (20,5), (60,4),
+whose repairs track leaders that are tracking themselves, and (75,5), whose
+repairs solve the most cruise-pinned zones.  `corridor validate` runs on seeds 0-4 per checkout as
 well: only its trajectory suite draws random limits and pins cruises at
 v_max.  Per run the script keeps the three artifacts, stdout with
 the exit code, and a repair log: each tracking stretch's vehicle, zone,
@@ -46,6 +47,8 @@ def _configs() -> dict[str, dict]:
     for vol in (400, 600, 800, 1000):
         for seed in range(1, 6):
             cfgs[f"vol{vol}-s{seed}"] = {"volume_veh_h": float(vol), "seed": seed}
+    for seed in (6, 8):
+        cfgs[f"vol1000-s{seed}"] = {"volume_veh_h": 1000.0, "seed": seed}
     for seed in range(1, 7):
         cfgs[f"vol1200-s{seed}"] = {"volume_veh_h": 1200.0, "seed": seed}
     cells = [(30, 2, p) for p in ("decentralized", "fifo", "centralized")]

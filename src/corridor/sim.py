@@ -473,25 +473,6 @@ def synthesize_trajectory(
     return Trajectory(sum((z.arcs for z in zones), ()), sum((z.zone_ids for z in zones), ()))
 
 
-def _shared_same_direction_zones(pa: PathSpec, pb: PathSpec) -> list[int]:
-    """Shared zones where car-following by progress difference is defined.
-
-    A zone both paths cover with the same in-zone length is a common lane
-    stretch.  Turning and through movements cross a conflict cell on arcs of
-    different lengths, so progress differences there compare unlike
-    geometries; those cells are left to the schedule's headway ties at the
-    cell entry and exit.
-    """
-    out = []
-    for run in conflict_runs(pa, pb):
-        if run.relation not in ("merge", "same-path"):
-            continue
-        for z in run.zones:
-            if abs(pa.seg_lengths[pa.index_of(z)] - pb.seg_lengths[pb.index_of(z)]) <= 1e-9:
-                out.append(z)
-    return out
-
-
 def _truncate_arcs(arcs: tuple, tau: float) -> list:
     """Arcs of a zone trajectory restricted to times at most tau."""
     kept = []
@@ -564,39 +545,35 @@ def _repair_follower(
 def enforce_rear_end(records: list[VehicleRecord], config: SimConfig) -> int:
     """Check and repair spacing on every shared same-direction zone.
 
-    Occupants of a zone are grouped by how they traverse it: the zone
+    Each vehicle's zones are bucketed by how it traverses them: the zone
     reached from the same predecessor, left to the same successor, over the
     same in-zone length is one lane, where progress differences are gaps.
-    Crossing movements and diverging turns fall into separate groups and are
-    covered by the schedule's headway ties instead.  Followers are repaired
-    in entry order within each group; a repair changes only the follower's
-    own motion inside that zone, so re-checking the pair there suffices.
-    Returns the number of repairs applied; residual violations raise
-    SafetyViolation since committed schedules rule them out.
+    Two paths sharing a lane run through it and a neighbour in the same
+    order, a merge or the same path.  Crossing movements and diverging
+    turns fall into separate lanes and are covered by the schedule's
+    headway ties instead.  Followers are repaired zone by zone, in entry
+    order within each lane; lanes of one zone hold disjoint vehicles, and a
+    repair changes only the follower's own motion inside that zone, so
+    re-checking the pair there suffices.  Returns the number of repairs
+    applied; residual violations raise SafetyViolation since committed
+    schedules rule them out.
     """
-    by_zone: dict[int, dict[int, VehicleRecord]] = {}
-    for i, a in enumerate(records):
-        for b in records[i + 1 :]:
-            for z in _shared_same_direction_zones(a.path, b.path):
-                occ = by_zone.setdefault(z, {})
-                occ[a.vehicle_id] = a
-                occ[b.vehicle_id] = b
-    repairs = 0
-    pairs = []
-    for z, occ in sorted(by_zone.items()):
-        groups: dict[tuple, list[VehicleRecord]] = {}
-        for r in occ.values():
-            k = r.path.index_of(z)
-            ids = r.path.zone_ids
+    lanes: dict[tuple, list[VehicleRecord]] = {}
+    for r in records:
+        ids = r.path.zone_ids
+        for k, z in enumerate(ids):
             lane = (
+                z,
                 ids[k - 1] if k > 0 else None,
                 ids[k + 1] if k + 1 < len(ids) else None,
                 round(r.path.seg_lengths[k], 9),
             )
-            groups.setdefault(lane, []).append(r)
-        for members in groups.values():
-            ordered = sorted(members, key=lambda r: r.schedule.time_at(z))
-            pairs.extend((z, lead, foll) for lead, foll in zip(ordered, ordered[1:]))
+            lanes.setdefault(lane, []).append(r)
+    repairs = 0
+    pairs = []
+    for (z, *_), members in sorted(lanes.items(), key=lambda item: item[0][0]):
+        ordered = sorted(members, key=lambda r: r.schedule.time_at(z))
+        pairs.extend((z, lead, foll) for lead, foll in zip(ordered, ordered[1:]))
     for z, lead, foll in pairs:
         try:
             repaired = _repair_follower(foll, lead, z, config)

@@ -37,14 +37,12 @@ tangency condition and it ends as soon as the remainder, re-solved inside
 its own release/deadline window, stays clear of the constraint.  Costate
 jump bookkeeping at those junctions is reported, not enforced.
 
-Each candidate exit is tested on check_rear_end's 1 ms grid, but through a
-screen (_exit_trough): every 32nd sample is evaluated, and a stretch between
-two of them is skipped only where a Lipschitz bound on the margin, built
-from per-arc bounds on |dv/dt|, proves that none of its samples falls below
-the tolerance.  The rest is evaluated exactly as the full scan evaluates it,
-so the screen returns the full scan's worst margin bit for bit and no
-verdict, and no exit, can change.  check_rear_end itself stays the plain
-full scan that the safety checks and tests use.
+Each candidate exit is tested on its exact least spacing margin
+(_least_margin).  Piece by piece the margin is a cubic, plus a polynomial
+times e^(-t/phi) behind a leader's follow arc, so its minimum lies at a
+piece end or at a root of its rate, and those roots come from a quadratic
+formula and bisection on monotone stretches (_rate_roots).  check_rear_end
+stays the sampled scan that the safety checks and tests use.
 """
 
 from __future__ import annotations
@@ -171,24 +169,6 @@ class Arc:
         u_end = self.u0 + self.slope * self.duration
         return min(self.u0, u_end), max(self.u0, u_end)
 
-    def control_bound(self, s0: float, s1: float) -> float:
-        """A bound on |u| over local times [s0, s1].
-
-        The linear part peaks at an end.  The exponential part is
-        Q(s)*e^(-s/tau) with Q = G'' - 2G'/tau + G/tau^2 = sum q_k s^k, and
-        |s| <= max(|s0|, |s1|) and e^(-s/tau) <= e^(-s0/tau) there.
-        """
-        bound = max(abs(self.u0 + self.slope * s0), abs(self.u0 + self.slope * s1))
-        if self.g:
-            g, tau = self.g + (0.0, 0.0), self.tau
-            q = [
-                (k + 2) * (k + 1) * g[k + 2] - 2.0 * (k + 1) * g[k + 1] / tau + g[k] / (tau * tau)
-                for k in range(len(self.g))
-            ]
-            sm = max(abs(s0), abs(s1))
-            bound += sum(abs(c) * sm**k for k, c in enumerate(q)) * math.exp(-s0 / tau)
-        return bound
-
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
@@ -297,30 +277,6 @@ class Trajectory:
             self.arcs[: s.start] + arcs + self.arcs[s.stop :],
             self.zone_ids[: s.start] + (z,) * len(arcs) + self.zone_ids[s.stop :],
         )
-
-    def rate_pieces(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Piece per sorted time from t_start on, with per-piece bounds A on
-        |dv/dt| over [t[0], t[-1]].
-
-        Piece k < len(arcs) is arc k over the times index() routes to it;
-        piece len(arcs) is the coast past the exit, where v' = 0.  A
-        polynomial arc's linear u peaks at an end of its routed range; a
-        follow arc adds its exponential part's bound (Arc.control_bound).
-        """
-        edges, t0, _, _, u0, slope = self._columns
-        n, t_end = len(self.arcs), self.t_end
-        piece = self.index(t)
-        if t[-1] > t_end:  # t is sorted, so only a tail can coast
-            piece[t > t_end] = n
-        t_lo, t_hi = t[0], min(t[-1], t_end)
-        r0 = np.maximum(np.concatenate(([-math.inf], edges[:-1])), t_lo)
-        r1 = np.minimum(edges, t_hi)
-        r1[-1] = t_hi
-        a = np.zeros(n + 1)
-        a[:n] = np.maximum(np.abs(u0 + slope * (r0 - t0)), np.abs(u0 + slope * (r1 - t0)))
-        for k in self._tracking:
-            a[k] = self.arcs[k].control_bound(float(r0[k] - t0[k]), float(r1[k] - t0[k]))
-        return piece, a
 
     def speed_extrema(self) -> tuple[float, float]:
         los, his = zip(*(a.speed_extrema() for a in self.arcs))
@@ -779,11 +735,88 @@ def check_rear_end(
     ]
 
 
-_SCREEN_STRIDE = 32  # grid samples per screened segment
-_SCREEN_SLACK = 1e-6  # m: covers float rounding in margins and the bound
+def _shifted(g: tuple[float, ...], d: float) -> tuple[float, ...]:
+    """Coefficients of G(s + d), given those of G(s)."""
+    return tuple(sum(math.comb(k, j) * g[k] * d ** (k - j) for k in range(j, len(g))) for j in range(len(g)))
 
 
-def _exit_trough(
+def _pieces(traj: Trajectory, t_lo: float, t_hi: float):
+    """(arc, lo, hi) per piece of traj over [t_lo, t_hi], in time order:
+    each arc over the times index() routes to it, then the coast past
+    t_end as a cruise arc."""
+    pe, ve, _ = traj.arcs[-1].end_state()
+    arcs = (*traj.arcs, Arc("cruise", traj.t_end, math.inf, p0=pe, v0=ve))
+    for arc, hi in zip(arcs, np.minimum(traj._columns[0], traj.t_end).tolist() + [math.inf]):
+        if t_lo >= t_hi:
+            return
+        if hi > t_lo:
+            yield arc, t_lo, min(hi, t_hi)
+            t_lo = min(hi, t_hi)
+
+
+def _piece_state(a: Arc, t: float, phi: float):
+    """Arc a in local time from t: its polynomial part's speed, control and
+    jerk at t, and its exponential part's position coefficients shifted to
+    t and decayed by e^(-(t - t0)/phi) (a follow arc's tau must be phi)."""
+    d = t - a.t0
+    g = _shifted(a.g, d)
+    if g:
+        decay = math.exp(-d / phi)
+        g = tuple(c * decay for c in g)
+    return a.v0 + a.u0 * d + 0.5 * a.slope * d * d, a.u0 + a.slope * d, a.slope, g
+
+
+def _poly(c: tuple[float, ...], x: float) -> float:
+    """The polynomial of coefficients c (lowest power first) at x."""
+    y = 0.0
+    for ck in reversed(c):
+        y = y * x + ck
+    return y
+
+
+def _rate_roots(q: tuple[float, ...], h: tuple[float, ...], phi: float, w: float) -> list[float]:
+    """Every sign change in (0, w) of f(x) = q(x) + h(x)*e^(-x/phi), sorted.
+
+    q is a quadratic and h a polynomial, coefficients lowest power first.
+    f has the sign of F = e^(x/phi)*q + h.  Differentiating F len(h) times,
+    each time R -> R' + R/phi and h -> h', leaves e^(x/phi) times a
+    quadratic, whose roots are the quadratic formula's.  Between
+    consecutive roots of one level (and 0 and w) the level below is
+    monotone, so it changes sign at most once there; bisection on the sign
+    of R(x) + h(x)*e^(-x/phi) finds where, to float resolution.
+    """
+    levels = [(q, h)]
+    for _ in h:
+        (r0, r1, r2), hk = levels[-1]
+        dh = tuple((k + 1) * c for k, c in enumerate(hk[1:]))
+        levels.append(((r0 / phi + r1, r1 / phi + 2.0 * r2, r2 / phi), dh))
+    c0, c1, c2 = levels.pop()[0]
+    if c2:
+        disc = c1 * c1 - 4.0 * c2 * c0
+        s = -0.5 * (c1 + math.copysign(math.sqrt(disc), c1)) if disc >= 0.0 else 0.0
+        roots = [s / c2, c0 / s] if s else []
+    else:
+        roots = [-c0 / c1] if c1 else []
+    roots = sorted(x for x in roots if 0.0 < x < w)
+    for r, hk in reversed(levels):
+        def above(x: float, r=r, hk=hk) -> bool:
+            return _poly(r, x) + _poly(hk, x) * math.exp(-x / phi) > 0.0
+
+        edges, roots = [0.0, *roots, w], []
+        for lo, hi in zip(edges, edges[1:]):
+            side = above(lo)
+            if side == above(hi):
+                continue
+            while lo < (mid := 0.5 * (lo + hi)) < hi:
+                if above(mid) == side:
+                    lo = mid
+                else:
+                    hi = mid
+            roots.append(mid)
+    return roots
+
+
+def _least_margin(
     leader: Trajectory,
     leader_anchor: float,
     follower: Trajectory,
@@ -792,92 +825,49 @@ def _exit_trough(
     t_hi: float,
     gamma: float,
     phi: float,
-    dt: float,
-    tol: float,
-) -> float | None:
-    """Deepest sampled margin below -tol on check_rear_end's grid, or None.
+) -> float:
+    """The exact least margin (p_l - a_l) - (p_f - a_f) - gamma - phi*v_f
+    over [t_lo, t_hi]; inf for an empty window.
 
-    Equals the least worst margin over check_rear_end's runs, bit for bit,
-    while evaluating only part of the grid.  Every _SCREEN_STRIDE-th sample
-    (and the last) is evaluated.  A segment between two of them is skipped
-    only when a proven lower bound keeps all its samples at or above -tol,
-    or, once some coarse sample is below -tol, at or above the least coarse
-    margin, which no skipped sample could then undercut.  Every other
-    sample is evaluated exactly as the full scan evaluates it.
-
-    The bound.  With m = (p_l - a_l) - (p_f - a_f) - gamma - phi*v_f, and
-    p' = v on every arc and on the coast,
-        m' = (v_l - v_f) - phi*v_f'.
-    On a segment [t_a, t_b] of length delta where each trajectory stays on
-    one piece (rate_pieces: one arc, or the coast past a vehicle's exit),
-    |v'| <= A holds, so |v_l - v_f| grows from its value at an end by at
-    most (A_l + A_f)*delta and
-        |m'| <= L = max(|v_l - v_f| at t_a, t_b) + (A_l + A_f)*delta + |phi|*A_f.
-    An L-Lipschitz m lies above both m_a - L(t - t_a) and m_b - L(t_b - t),
-    whose lower envelope bottoms out at (m_a + m_b)/2 - L*delta/2.  A fixed
-    _SCREEN_SLACK absorbs the rounding of the evaluated margins (well under
-    1e-9 m at corridor scales) and of the bound itself.  Segments across a
-    piece change, where p, phi*v or u may jump, are evaluated in full, as
-    are whole grids that start before a trajectory's t_start (a vehicle
-    held at its start has p' = 0 while v != 0).  A grid shorter than one
-    stride has coarse samples [0, n] alone, and the same bound holds.
+    [t_lo, t_hi] is cut at both trajectories' arc edges and at the leader's
+    t_end, past which it coasts (_pieces).  On each piece, in local time x,
+    m' = v_l - v_f - phi*u_f is a quadratic q, plus h(x)*e^(-x/phi) on a
+    leader's follow arc, with h = G' - G/phi from its exponential part G
+    (_piece_state).  The margin is evaluated at both ends of every piece,
+    on that piece's arcs, and at every sign change of m' (_rate_roots).
+    Preconditions: the follower's arcs are polynomial (a solved remainder),
+    the leader's follow arcs decay with phi, and t_lo is at or after both
+    trajectories' t_start, since a vehicle held at its start has p' = 0
+    while v != 0.
     """
-    if t_hi <= t_lo:
-        return None
-    n = max(int(math.ceil((t_hi - t_lo) / dt)), 1)
-    t = np.linspace(t_lo, t_hi, n + 1)
-
-    def margin_at(idx):
-        tt = t[idx]
-        p_l, v_l, _ = leader.eval_many(tt)
-        p_f, v_f, _ = follower.eval_many(tt)
-        return (p_l - leader_anchor) - (p_f - follower_anchor) - gamma - phi * v_f, v_l, v_f
-
-    def trough(*margins):
-        m = np.concatenate(margins)
-        bad = m[m < -tol]
-        return float(bad.min()) if bad.size else None
-
-    if t_lo < leader.t_start or t_lo < follower.t_start:
-        return trough(margin_at(slice(None))[0])
-    coarse = np.arange(0, n + 1, _SCREEN_STRIDE)
-    if coarse[-1] != n:
-        coarse = np.append(coarse, n)
-    tc = t[coarse]
-    m_c, v_l, v_f = margin_at(coarse)
-    piece_l, a_l = leader.rate_pieces(tc)
-    piece_f, a_f = follower.rate_pieces(tc)
-    one_piece = (piece_l[1:] == piece_l[:-1]) & (piece_f[1:] == piece_f[:-1])
-    pl, pf = piece_l[:-1], piece_f[:-1]
-    delta = np.diff(tc)
-    dv = np.abs(v_l - v_f)
-    lip = np.maximum(dv[:-1], dv[1:]) + (a_l[pl] + a_f[pf]) * delta + abs(phi) * a_f[pf]
-    lower = 0.5 * (m_c[:-1] + m_c[1:]) - 0.5 * lip * delta - _SCREEN_SLACK
-    floor = min(-tol, float(m_c.min()))
-    open_seg = np.flatnonzero(~(one_piece & (lower >= floor)))
-    first = coarse[open_seg] + 1
-    count = coarse[open_seg + 1] - first
-    if not count.sum():
-        return trough(m_c)
-    # interior grid indices of every open segment, in order
-    offset = np.repeat(first - np.cumsum(count) + count, count)
-    inner = np.arange(count.sum()) + offset
-    return trough(m_c, margin_at(inner)[0])
-
-
-def _shifted(g: tuple[float, ...], d: float) -> tuple[float, ...]:
-    """Coefficients of G(s + d), given those of G(s)."""
-    return tuple(sum(math.comb(k, j) * g[k] * d ** (k - j) for k in range(j, len(g))) for j in range(len(g)))
+    lead, foll = list(_pieces(leader, t_lo, t_hi)), list(_pieces(follower, t_lo, t_hi))
+    least, i, j, a = math.inf, 0, 0, t_lo
+    for b in sorted({hi for *_, hi in lead + foll}):
+        while lead[i][2] < b:
+            i += 1
+        while foll[j][2] < b:
+            j += 1
+        la, fa = lead[i][0], foll[j][0]
+        vl, ul, jl, g = _piece_state(la, a, phi)
+        vf, uf, jf, _ = _piece_state(fa, a, phi)
+        q = (vl - vf - phi * uf, ul - uf - phi * jf, 0.5 * (jl - jf))
+        h = tuple((k + 1) * g[k + 1] - c / phi if k + 1 < len(g) else -c / phi for k, c in enumerate(g))
+        for t in (a, b, *(a + x for x in _rate_roots(q, h, phi, b - a))):
+            pl, _, _ = la.eval(t)
+            pf, vf, _ = fa.eval(t)
+            least = min(least, (pl - leader_anchor) - (pf - follower_anchor) - gamma - phi * vf)
+        a = b
+    return least
 
 
 def _track(leader: Trajectory, t1: float, t2: float, p1: float, v1: float, phi: float) -> list[Arc]:
     """The follower riding the spacing rule behind leader over [t1, t2].
 
-    On the rule v' = (v_l - v)/phi, solved in closed form on each piece
-    of the leader that index() routes to (and on its coast past t_end),
-    one follow arc per piece.  In local time s from a piece's start, the
-    leader's speed is a quadratic P plus the exponential part of a leader
-    that is tracking itself, Gl(s)*e^(-s/phi).  The follower's speed is
+    On the rule v' = (v_l - v)/phi, solved in closed form on each piece of
+    the leader (_pieces: its arcs, then its coast past t_end), one follow
+    arc per piece.  In local time s from a piece's start, the leader's speed
+    is a quadratic P plus the exponential part of a leader that is tracking
+    itself, Gl(s)*e^(-s/phi) (_piece_state).  The follower's speed is
     P - phi*P' + phi^2*P'' plus the same kind of term, whose position
     coefficient G solves G' = Gl/phi, so a chain of k trackers has G of
     degree k - 1.  G(0) = Gl(0) - phi*(v_start - (P - phi*P' + phi^2*P'')(0))
@@ -885,30 +875,15 @@ def _track(leader: Trajectory, t1: float, t2: float, p1: float, v1: float, phi: 
     so the margin holds its tangency value exactly.  The leader's follow
     arcs must share this phi, and t1 must not precede leader.t_start.
     """
-    t_end = leader.t_end
-    ends = np.minimum(leader._columns[0], t_end).tolist() + [math.inf]
     arcs: list[Arc] = []
-    t, p, v = t1, p1, v1
-    for k, hi in enumerate(ends):
-        if t >= t2:
-            break
-        if hi <= t:
-            continue
-        if k < len(leader.arcs):
-            la = leader.arcs[k]
-            d = t - la.t0
-            vl = la.v0 + la.u0 * d + 0.5 * la.slope * d * d
-            ul, jl = la.u0 + la.slope * d, la.slope
-            decay = math.exp(-d / phi)
-            gl = tuple(c * decay for c in _shifted(la.g, d))
-        else:  # the leader coasts at its exit speed
-            vl, ul, jl, gl = leader.arcs[-1].end_state()[1], 0.0, 0.0, ()
+    p, v = p1, v1
+    for la, t, hi in _pieces(leader, t1, t2):
+        vl, ul, jl, gl = _piece_state(la, t, phi)
         v0, u0 = vl - phi * ul + phi * phi * jl, ul - phi * jl
         g0 = (gl[0] if gl else 0.0) + phi * (v0 - v)
         g = (g0, *(c / ((i + 1) * phi) for i, c in enumerate(gl)))
-        arc = Arc("follow", t, min(hi, t2), p0=p - g0, v0=v0, u0=u0, slope=jl, tau=phi, g=g)
+        arc = Arc("follow", t, hi, p0=p - g0, v0=v0, u0=u0, slope=jl, tau=phi, g=g)
         arcs.append(arc)
-        t = arc.t1
         p, v, _ = arc.end_state()
     return arcs
 
@@ -936,10 +911,11 @@ def follow_arc(
     the trajectory that was checked, so the caller splices exactly that.
     Costate jumps at the junctions are reported, not enforced.
 
-    The clearance test is _exit_trough: check_rear_end's verdict and worst
-    margin at dt = 1 ms, tol = 5e-7, computed by a bound-screened scan that
-    returns the same float, so the exit and the skip after a rejected
-    candidate (which reads that worst margin) are those of the full scan.
+    The clearance test is _least_margin: the exact least margin over the
+    remainder's window must not fall below -5e-7.  Each candidate starts at
+    the tested point, and the leader entered the zone earlier, so neither
+    trajectory is held at its start there.  A rejected candidate's least
+    margin also sets how long further tests stay pointless.
     """
     p1, v1 = state
     vl = leader.eval(t1)[1]
@@ -976,17 +952,15 @@ def follow_arc(
             cand = solve_zone(sub, rem_bounds)
         except (ValueError, PiecingDiverged):
             return None, tau
-        # the candidate departs from a point ON the constraint, so its first
-        # samples sit at the tangency margin; tolerate that contact while
-        # rejecting any real re-violation further out.  Sampling is finer and
-        # acceptance tighter than the downstream verification pass, so a
-        # differently anchored verification grid cannot flip the verdict.
-        trough = _exit_trough(
-            leader, leader_anchor, cand, follower_anchor, tau, bvp.t_end, gamma, phi,
-            dt=1e-3, tol=5e-7,
-        )
-        if trough is not None:
-            return None, tau + (-trough - 5e-7) / margin_rate
+        # the candidate departs from a point ON the constraint, so it starts
+        # at the tangency margin; tolerate that contact while rejecting any
+        # real re-violation further out.  The exact minimum lies at or below
+        # every sample of the downstream verification pass, and acceptance
+        # is tighter than its tolerance, so no verification grid can flip
+        # the verdict.
+        least = _least_margin(leader, leader_anchor, cand, follower_anchor, tau, bvp.t_end, gamma, phi)
+        if least < -5e-7:
+            return None, tau + (-least - 5e-7) / margin_rate
         return cand, tau
 
     next_test, t, j = t1, t1, 0

@@ -15,7 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from corridor.kinematics import BoundaryState, Limits, release_time
-from corridor.network import build_network
+from corridor.network import build_network, conflict_runs
 from corridor.sim import (
     Arrival,
     ConfigError,
@@ -23,7 +23,6 @@ from corridor.sim import (
     Saturated,
     SimConfig,
     VOLUME_HORIZONS,
-    _shared_same_direction_zones,
     check_lateral,
     compare_policies,
     fuel_rate,
@@ -224,12 +223,28 @@ def test_runs_are_bit_identical():
 # -- safety and conservation ---------------------------------------------------
 
 
+def shared_same_direction_zones(pa, pb):
+    """Shared zones where car-following by progress difference is defined:
+    those of a merge or same-path run that both paths cover with the same
+    in-zone length.  Turning and through movements cross a conflict cell on
+    arcs of different lengths, so progress differences there compare unlike
+    geometries."""
+    out = []
+    for run in conflict_runs(pa, pb):
+        if run.relation in ("merge", "same-path"):
+            out += [
+                z for z in run.zones
+                if abs(pa.seg_lengths[pa.index_of(z)] - pb.seg_lengths[pb.index_of(z)]) <= 1e-9
+            ]
+    return out
+
+
 def reverify_rear_end(res):
     found = []
     recs = res.records
     for i, a in enumerate(recs):
         for b in recs[i + 1 :]:
-            for z in _shared_same_direction_zones(a.path, b.path):
+            for z in shared_same_direction_zones(a.path, b.path):
                 lead, foll = (a, b) if a.schedule.time_at(z) <= b.schedule.time_at(z) else (b, a)
                 zone_arcs = foll.trajectory.zone(z)
                 found += check_rear_end(
