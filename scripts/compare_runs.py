@@ -10,8 +10,11 @@ and centralized, (75,5) centralized, and FIFO (18,5), (20,5), (60,4),
 whose repairs track leaders that are tracking themselves, and (75,5), whose
 repairs solve the most cruise-pinned zones.  `corridor validate` runs on seeds 0-4 per checkout as
 well: only its trajectory suite draws random limits and pins cruises at
-v_max.  Per run the script keeps the three artifacts, stdout with
-the exit code, and a repair log: each tracking stretch's vehicle, zone,
+v_max.  `corridor compare` runs on Poisson (30,2) and `corridor sweep
+--volumes 400,800 --seeds 2` on the default config, so comparison.csv and
+sweep.csv are compared too; sweep cells run in-process (CORRIDOR_THREADS=1)
+so the repair log sees them.  Per run the script keeps the artifacts, stdout
+with the exit code, and a repair log: each tracking stretch's vehicle, zone,
 start and end time.  A stretch is a run of consecutive follow arcs in one
 zone, so a checkout that stores one follow arc per leader piece logs the
 same line as one that stores a single sampled arc.  The log reads both
@@ -106,7 +109,9 @@ print("exit", code)
 
 def _run_one(checkout: str, out_dir: str, argv: list[str]) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(checkout), "src"))
+    env = dict(
+        os.environ, PYTHONPATH=os.path.join(os.path.abspath(checkout), "src"), CORRIDOR_THREADS="1"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", _DRIVER, *argv, os.path.join(out_dir, "repairs.txt")],
         env=env, capture_output=True, text=True,
@@ -128,6 +133,15 @@ def _jobs(checkout: str, side_dir: str) -> list[tuple]:
         jobs.append((checkout, out_dir, ["run", "--config", cfg_path, "--out", out_dir, "--force"]))
     for seed in range(5):
         jobs.append((checkout, os.path.join(side_dir, f"validate-s{seed}"), ["validate", "--seed", str(seed)]))
+    cmp_dir = os.path.join(side_dir, "compare-poisson30-s2")
+    os.makedirs(cmp_dir, exist_ok=True)
+    cmp_cfg = os.path.join(cmp_dir, "config.json")
+    with open(cmp_cfg, "w") as f:
+        json.dump({"arrival_mode": "poisson", "n_vehicles": 30, "seed": 2}, f)
+    jobs.append((checkout, cmp_dir, ["compare", "--config", cmp_cfg, "--out", cmp_dir, "--force"]))
+    sweep_dir = os.path.join(side_dir, "sweep-400-800")
+    sweep = ["sweep", "--volumes", "400,800", "--seeds", "2", "--out", sweep_dir, "--force"]
+    jobs.append((checkout, sweep_dir, sweep))
     return jobs
 
 
@@ -197,7 +211,10 @@ def _read(path: str) -> str | None:
         return None
 
 
-ARTIFACTS = ("schedules.json", "trajectory.csv", "metrics.json", "stdout.txt", "repairs.txt")
+ARTIFACTS = (
+    "schedules.json", "trajectory.csv", "metrics.json", "comparison.csv", "sweep.csv",
+    "stdout.txt", "repairs.txt",
+)
 
 
 def compare(old_dir: str, new_dir: str, runs: list[str]) -> bool:

@@ -7,17 +7,19 @@ solve that diverged, a follower with no clean exit, a failed write).  Each
 artifact goes to a temp file in the output directory, renamed into place
 only once every artifact of the command is written, so a failed write
 changes no artifact, and a command that exits with an error leaves no temp
-file behind.  All emitted CSV numbers carry 9 significant digits so
-regression diffs stay meaningful; given the same config and seed every
+file behind.  All emitted CSV numbers carry 9 significant digits (`%.9g`)
+so regression diffs stay meaningful; given the same config and seed every
 artifact is byte-identical, except the wall-clock solver timings inside
-metrics.json.
+metrics.json.  trajectory.csv is the header `vehicle,t,zone,p,v,u`, then
+one `%d,%.9g,%d,%.9g,%.9g,%.9g` line per sample: vehicles in record
+order, each sampled every trace_dt from its entry, plus at its end time
+when that grid misses it.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import json
 import math
 import os
@@ -65,15 +67,14 @@ from .trajectory import NoExitFound, PiecingDiverged, ZoneBVP, solve_zone
 
 DEFAULT_VOLUMES = (400.0, 600.0, 800.0, 1000.0, 1200.0)
 
-
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, (str, bool)):
-        return str(x)
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return format(float(x), ".9g")
+# header and %-format of one line, per CSV artifact
+TRAJECTORY_CSV = ("vehicle,t,zone,p,v,u\n", "%d,%.9g,%d,%.9g,%.9g,%.9g\n")
+COMPARISON_CSV = (
+    "policy,n_vehicles,avg_travel_time,median_travel_time,p90_travel_time,"
+    "avg_fuel_l,holds,fallbacks,repairs,optimal\n",
+    "%s,%d,%.9g,%.9g,%.9g,%.9g,%d,%d,%d,%s\n",
+)
+SWEEP_CSV = ("volume,avg_vehicles,avg_travel_time\n", "%.9g,%.9g,%.9g\n")
 
 
 def _load_json(path: str) -> dict:
@@ -115,12 +116,11 @@ def _write_json(path: str, data) -> None:
         f.write("\n")
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
+def _write_csv(path: str, layout: tuple[str, str], rows) -> None:
+    header, line = layout
     with open(path, "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(x) for x in row])
+        f.write(header)
+        f.writelines(map(line.__mod__, rows))
 
 
 def _write_artifacts(*files) -> None:
@@ -171,16 +171,15 @@ def cmd_run(args) -> int:
     out_traj = _out_file(args.out, "trajectory.csv", args.force)
     out_metrics = _out_file(args.out, "metrics.json", args.force)
     result = run_sim(cfg)
-    traj_header = ["vehicle", "t", "zone", "p", "v", "u"]
     _write_artifacts(
         (out_sched, lambda path: _write_json(path, schedules_json(result))),
-        (out_traj, lambda path: _write_csv(path, traj_header, trajectory_csv_rows(result))),
+        (out_traj, lambda path: _write_csv(path, TRAJECTORY_CSV, trajectory_csv_rows(result))),
         (out_metrics, lambda path: _write_json(path, metrics_json(result))),
     )
     m = result.metrics
     print(
         f"{cfg.policy}: {m.n_vehicles} vehicles, "
-        f"avg travel time {_fmt(m.avg_travel_time)} s, "
+        f"avg travel time {m.avg_travel_time:.9g} s, "
         f"holds {m.holds}, fallbacks {m.fallbacks}, repairs {m.repairs}"
     )
     return 0
@@ -204,25 +203,13 @@ def cmd_compare(args) -> int:
                 m.holds,
                 m.fallbacks,
                 m.repairs,
-                m.centralized_optimal,
+                "" if m.centralized_optimal is None else m.centralized_optimal,
             )
         )
-    header = [
-        "policy",
-        "n_vehicles",
-        "avg_travel_time",
-        "median_travel_time",
-        "p90_travel_time",
-        "avg_fuel_l",
-        "holds",
-        "fallbacks",
-        "repairs",
-        "optimal",
-    ]
-    _write_artifacts((out_cmp, lambda path: _write_csv(path, header, rows)))
+    _write_artifacts((out_cmp, lambda path: _write_csv(path, COMPARISON_CSV, rows)))
     for policy in POLICIES:
         m = results[policy].metrics
-        print(f"{policy}: avg travel time {_fmt(m.avg_travel_time)} s")
+        print(f"{policy}: avg travel time {m.avg_travel_time:.9g} s")
     return 0
 
 
@@ -262,10 +249,9 @@ def cmd_sweep(args) -> int:
         avg_n = sum(r[2] for r in got) / len(got)
         avg_tt = sum(r[3] for r in got) / len(got)
         rows.append((vol, avg_n, avg_tt))
-    header = ["volume", "avg_vehicles", "avg_travel_time"]
-    _write_artifacts((out_csv, lambda path: _write_csv(path, header, rows)))
+    _write_artifacts((out_csv, lambda path: _write_csv(path, SWEEP_CSV, rows)))
     for vol, avg_n, avg_tt in rows:
-        print(f"volume {_fmt(vol)}: {_fmt(avg_n)} vehicles, avg travel time {_fmt(avg_tt)} s")
+        print(f"volume {vol:.9g}: {avg_n:.9g} vehicles, avg travel time {avg_tt:.9g} s")
     return 0
 
 

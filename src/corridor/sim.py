@@ -18,6 +18,7 @@ import heapq
 import math
 import sys
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -42,6 +43,12 @@ POLICIES = ("decentralized", "centralized", "fifo")
 # expected count (volume/3600 * horizon * paths); scheduling is quadratic in
 # the count, so a larger run would not finish anyway
 MAX_VEHICLES = 10_000
+
+# least value of each step field: a sampling grid (rear_end_dt, fuel_dt,
+# trace_dt) or the boundary-speed scan (vmerge_step) grows as 1/step, and a
+# hold (hold_dt) below float resolution would not advance the clock; 1 ms
+# is the grid follow_arc already uses
+MIN_STEP = 1e-3
 
 # arrival horizons calibrated so expected arrivals match the reference
 # vehicle counts (count = 4 paths * volume/3600 * horizon)
@@ -213,8 +220,8 @@ class SimConfig:
         if not self.paths:
             raise ConfigError("at least one path required")
         for name in ("rear_end_dt", "fuel_dt", "trace_dt", "hold_dt", "vmerge_step"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)!r}")
+            if not getattr(self, name) >= MIN_STEP:
+                raise ConfigError(f"{name} must be at least {MIN_STEP}, got {getattr(self, name)!r}")
         for name in ("seed", "node_budget", "max_holds"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must not be negative, got {getattr(self, name)!r}")
@@ -828,12 +835,11 @@ def schedules_json(result: SimResult) -> dict:
 
 
 def trajectory_csv_rows(result: SimResult):
-    """Rows (vehicle, t, zone, p, v, u) at the configured trace step."""
+    """Rows (vehicle, t, zone, p, v, u) of Python numbers at the configured trace step."""
     for r in result.records:
         t, p, v, u = r.trajectory.sample(result.config.trace_dt)
         zones = r.trajectory.zone_at(t)
-        for i in range(len(t)):
-            yield r.vehicle_id, float(t[i]), int(zones[i]), float(p[i]), float(v[i]), float(u[i])
+        yield from zip(repeat(r.vehicle_id), t.tolist(), zones.tolist(), p.tolist(), v.tolist(), u.tolist())
 
 
 def metrics_json(result: SimResult) -> dict:

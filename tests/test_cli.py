@@ -5,6 +5,7 @@ for the artifact store.
 """
 
 import contextlib
+import csv
 import dataclasses
 import errno
 import functools
@@ -93,7 +94,7 @@ def test_unsafe_headway_exits_3(tmp_path, cfg_file, capsys):
 
 
 @pytest.mark.parametrize("field", ["rear_end_dt", "fuel_dt", "trace_dt", "hold_dt", "vmerge_step"])
-@pytest.mark.parametrize("value", [0, -0.1])
+@pytest.mark.parametrize("value", [0, -0.1, 1e-300])
 def test_non_positive_step_exits_2_without_artifacts(tmp_path, cfg_file, capsys, field, value):
     cfg = cfg_file("step.json", {**POISSON_CFG, field: value})
     out = tmp_path / "out"
@@ -293,6 +294,76 @@ def test_csv_numbers_carry_nine_significant_digits(tmp_path, cfg_file):
     for line in (out / "trajectory.csv").read_text().splitlines()[1:]:
         for tok in line.split(",")[3:]:
             assert format(float(tok), ".9g") == tok
+
+
+def reference_csv(header: list[str], rows) -> bytes:
+    """Reference renderer that `_write_csv` must match byte for byte:
+    csv.writer, with each value formatted by its type."""
+
+    def fmt(x) -> str:
+        if x is None:
+            return ""
+        if isinstance(x, (str, bool)):
+            return str(x)
+        if isinstance(x, (int, np.integer)):
+            return str(int(x))
+        return format(float(x), ".9g")
+
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    for row in rows:
+        w.writerow([fmt(x) for x in row])
+    return buf.getvalue().encode()
+
+
+TRAJECTORY_HEADER = ["vehicle", "t", "zone", "p", "v", "u"]
+
+
+def test_csv_writer_matches_reference_on_edge_values(tmp_path):
+    edges = [-0.0, 0.0, 5e-324, 1e-320, math.inf, -math.inf, math.nan, 1e300, 123456789.5, -2.5e-7]
+    rows = [
+        (k, edges[k], np.int64(11), edges[-1 - k], edges[(3 * k) % len(edges)], float(k) / 3.0)
+        for k in range(len(edges))
+    ]
+    path = tmp_path / "edges.csv"
+    cli._write_csv(str(path), cli.TRAJECTORY_CSV, rows)
+    assert path.read_bytes() == reference_csv(TRAJECTORY_HEADER, rows)
+
+
+def test_csv_artifacts_match_reference(tmp_path, cfg_file, monkeypatch):
+    # every CSV a command writes holds the reference rendering of its rows
+    written = {}
+    write = cli._write_csv
+
+    def spy(path, layout, rows):
+        written[layout] = rows = list(rows)
+        write(path, layout, rows)
+
+    monkeypatch.setattr(cli, "_write_csv", spy)
+    monkeypatch.setenv("CORRIDOR_THREADS", "1")
+    cfg = cfg_file("cfg.json", POISSON_CFG)
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    assert main(["compare", "--config", cfg, "--out", str(out)]) == 0
+    sweep = ["sweep", "--config", cfg, "--out", str(out), "--volumes", "400,800", "--seeds", "2"]
+    assert main(sweep) == 0
+    files = {
+        cli.TRAJECTORY_CSV: ("trajectory.csv", TRAJECTORY_HEADER),
+        cli.COMPARISON_CSV: (
+            "comparison.csv",
+            "policy,n_vehicles,avg_travel_time,median_travel_time,p90_travel_time,"
+            "avg_fuel_l,holds,fallbacks,repairs,optimal".split(","),
+        ),
+        cli.SWEEP_CSV: ("sweep.csv", ["volume", "avg_vehicles", "avg_travel_time"]),
+    }
+    assert set(written) == set(files)
+    for layout, (name, header) in files.items():
+        assert written[layout]
+        assert (out / name).read_bytes() == reference_csv(header, written[layout])
+    # the decentralized and FIFO rows leave `optimal` empty
+    optimal = [ln.rsplit(",", 1)[1] for ln in (out / "comparison.csv").read_text().splitlines()[1:]]
+    assert optimal[0] == "" and optimal[2] == "" and optimal[1] in ("True", "False")
 
 
 # -- oracle suites (reduced sizes; the command itself runs the full ones) -----
