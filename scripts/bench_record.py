@@ -1,13 +1,14 @@
 """Record a BENCH file: the benchmark run on a reference tree and a changed tree.
 
     python3 scripts/bench_record.py OLD_CHECKOUT NEW_CHECKOUT --out BENCH_<n>.json
-        [--pairs 10] [--seconds 16] [--seed 101] [--previous BENCH_<m>.json]
+        [--previous BENCH_<m>.json]
 
 For every workload in NEW_CHECKOUT's BENCHMARK.json the script runs each
-checkout's own `perfbench/run.py --trace 0` once per pair, alternating which
-side goes first, pair k on seed --seed + k for both sides (the seed only
-orders the runs inside a round).  Then it runs one `--trace 1` per side and
-workload.  Runs are sequential, one process at a time.
+checkout's own `perfbench/run.py --trace 0 --seconds <run_seconds>` once per
+pair, PAIRS pairs, alternating which side goes first, pair k on seed
+FIRST_SEED + k for both sides (the seed only orders the runs inside a round).
+Then it runs one `--trace 1` per side and workload.  Runs are sequential, one
+process at a time.
 
 The file holds, per workload and end-to-end metric, each side's runs, median
 and quartiles, the number of pairs the new tree wins (ties count for
@@ -36,6 +37,8 @@ import numpy
 
 from compare_runs import src_lines  # the sibling script; scripts/ is first on sys.path
 
+PAIRS = 10
+FIRST_SEED = 101
 NOT_COVERED = [
     "corridor sweep end to end: no workload runs it, so its process pool and sweep.csv are untimed",
     "corridor compare through cli.main: joint-schedule calls compare_policies in-process and "
@@ -114,28 +117,24 @@ def main(argv=None) -> int:
     p.add_argument("old", help="checkout of the reference tree")
     p.add_argument("new", help="checkout of the changed tree")
     p.add_argument("--out", required=True, help="BENCH file to write")
-    p.add_argument("--pairs", type=int, default=10, help="untraced runs per side and workload (default 10)")
-    p.add_argument("--seconds", type=float, default=16.0, help="perfbench --seconds (default 16)")
-    p.add_argument("--seed", type=int, default=101, help="seed of the first pair (default 101)")
     p.add_argument("--previous", help="BENCH file this one is compared against (default: none)")
     args = p.parse_args(argv)
-    if args.pairs < 2:
-        p.error("--pairs must be at least 2")
     with open(os.path.join(args.new, "BENCHMARK.json")) as f:
         bench = json.load(f)
+    seconds = bench["run_seconds"]
     specs = {m["name"]: m for m in bench["end_to_end"]}
     sides = {"old": args.old, "new": args.new}
     workloads = {}
     for w in bench["workloads"]:
         name = w["name"]
         runs = {"old": [], "new": []}
-        for k in range(args.pairs):
+        for k in range(PAIRS):
             order = ("old", "new") if k % 2 == 0 else ("new", "old")
             for side in order:
-                runs[side].append(_bench(sides[side], name, args.seed + k, args.seconds, 0))
+                runs[side].append(_bench(sides[side], name, FIRST_SEED + k, seconds, 0))
                 print(f"{name} pair {k} {side}: wall_s {runs[side][-1]['metrics']['wall_s']:.3f}", flush=True)
         traced = {
-            side: _bench(sides[side], name, args.seed, args.seconds, 1)["metrics"] for side in sides
+            side: _bench(sides[side], name, FIRST_SEED, seconds, 1)["metrics"] for side in sides
         }
         workloads[name] = {
             "why": w["why"],
@@ -161,9 +160,9 @@ def main(argv=None) -> int:
     record = {
         "machine": _machine(),
         "settings": {
-            "pairs": args.pairs,
-            "seconds": args.seconds,
-            "seeds": [args.seed + k for k in range(args.pairs)],
+            "pairs": PAIRS,
+            "seconds": seconds,
+            "seeds": [FIRST_SEED + k for k in range(PAIRS)],
             "order": "alternating, old first on even pairs",
             "traced_runs_per_side": 1,
         },

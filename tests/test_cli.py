@@ -94,7 +94,7 @@ def test_unsafe_headway_exits_3(tmp_path, cfg_file, capsys):
 
 
 @pytest.mark.parametrize("field", ["rear_end_dt", "fuel_dt", "trace_dt", "hold_dt", "vmerge_step"])
-@pytest.mark.parametrize("value", [0, -0.1, 1e-300])
+@pytest.mark.parametrize("value", [0, -0.1, 1e-300, 9e-4])
 def test_non_positive_step_exits_2_without_artifacts(tmp_path, cfg_file, capsys, field, value):
     cfg = cfg_file("step.json", {**POISSON_CFG, field: value})
     out = tmp_path / "out"
