@@ -37,19 +37,29 @@ tangency condition and it ends as soon as the remainder, re-solved inside
 its own release/deadline window, stays clear of the constraint.  Costate
 jump bookkeeping at those junctions is reported, not enforced.
 
-Each candidate exit is tested on its exact least spacing margin
-(_least_margin).  Piece by piece the margin is a cubic, plus a polynomial
-times e^(-t/phi) behind a leader's follow arc, so its minimum lies at a
-piece end or at a root of its rate, and those roots come from a quadratic
-formula and bisection on monotone stretches (_rate_roots).  check_rear_end
-stays the sampled scan that the safety checks and tests use.
+Candidate exits lie on a 1 ms grid from tangency.  A test rejects an exit
+as too early (the remainder has more time than its deadline allows, or
+dips below the spacing margin) or too late (no time left, release not met,
+no solve).  The search gallops from tangency over doubling offsets to the
+first probe that is not too early, then bisects the last gap for the first
+such grid point, about 2*log2(n) tests for an exit n points out; that
+point is the exit if it accepts.  The verdicts need not run early, accept,
+late, so when the search finds no exit a linear scan from tangency does.
+Each test uses the exact least spacing margin (_least_margin).  Piece by
+piece the margin is a cubic, plus a polynomial times e^(-t/phi) behind a
+leader's follow arc, so its minimum lies at a piece end or at a root of
+its rate, and those roots come from a quadratic formula and bisection on
+monotone stretches (_rate_roots).  check_rear_end stays the sampled scan
+that the safety checks and tests use.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
+from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -888,6 +898,75 @@ def _track(leader: Trajectory, t1: float, t2: float, p1: float, v1: float, phi: 
     return arcs
 
 
+# exit-test verdicts, in the order a monotone exit grid meets them
+EARLY, EXIT, LATE = -1, 0, 1
+
+
+def _exit_grid(t1: float, t_end: float, grid_dt: float) -> list[float]:
+    """The tested exit times: steps of grid_dt from t1, the last one clamped
+    to t_end, bit for bit the float sequence t += min(grid_dt, t_end - t)
+    run while t < t_end - grid_dt/2, at most ceil((t_end - t1)/grid_dt) + 1
+    times.  Every step but the last is a full one, so the running sum
+    (accumulate) gives them all and a bisection finds where it stops."""
+    cap = int(math.ceil((t_end - t1) / grid_dt)) + 1
+    ts = list(accumulate(repeat(grid_dt, cap), initial=t1))
+    m = min(bisect_left(ts, t_end - grid_dt * 0.5), cap)
+    if m <= 0:
+        return []
+    last = ts[m - 1]
+    return ts[1:m] + [last + min(grid_dt, t_end - last)]
+
+
+def _bracket_exit(n: int, verdict) -> int | None:
+    """The first index in range(n) whose verdict is not EARLY, or None.
+
+    Gallops over offsets 1, 2, 4, ... from index 0 to the first probe that
+    is not EARLY, then bisects the last gap for the first such index
+    (Bentley & Yao, "An almost optimal algorithm for unbounded searching",
+    IPL 1976): at most 2*ceil(log2(n)) + 1 probes.  Exact only where the
+    verdicts run EARLY, then not.
+    """
+    lo, step = -1, 1  # lo: the last index known EARLY (-1: tangency)
+    while True:
+        hi = min(lo + step, n - 1)
+        if hi <= lo:
+            return None
+        if verdict(hi) != EARLY:
+            break
+        lo, step = hi, 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if verdict(mid) == EARLY:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def _exit_index(grid: list[float], probe) -> tuple[int, tuple]:
+    """The exit's index and probe: the first EXIT of the grid's verdicts.
+
+    probe(i) returns (verdict, next_test, ...) for grid[i]; each index is
+    probed at most once.  _bracket_exit's index is the exit when it
+    accepts.  Otherwise the verdicts are not ordered EARLY, EXIT, LATE, and
+    the linear scan walks the grid from the start: it tests each point at
+    or past the last rejection's next_test and returns the first EXIT.
+    Raises NoExitFound when neither finds one.
+    """
+    probe = cache(probe)
+    k = _bracket_exit(len(grid), lambda i: probe(i)[0])
+    if k is not None and probe(k)[0] == EXIT:
+        return k, probe(k)
+    next_test = -math.inf
+    for i, t in enumerate(grid):
+        if t >= next_test:
+            found = probe(i)
+            if found[0] == EXIT:
+                return i, found
+            next_test = found[1]
+    raise NoExitFound("follower found no clean exit before the boundary")
+
+
 def follow_arc(
     t1: float,
     state: tuple[float, float],
@@ -903,35 +982,46 @@ def follow_arc(
 
     On the constraint the margin identity pins the follower's state to the
     leader's: u = (v_leader - v)/phi, solved in closed form by _track, one
-    follow arc per leader piece.  At tested points of the exit grid (steps
-    of grid_dt from t1) the remainder to the zone exit is re-solved inside
-    its own release/deadline window; tracking ends at the first point whose
-    solved remainder stays clear of the spacing rule.  Returns the follow
-    arcs up to that point, the point, and info, whose info["remainder"] is
-    the trajectory that was checked, so the caller splices exactly that.
-    Costate jumps at the junctions are reported, not enforced.
+    follow arc per leader piece.  Exits are tested on the grid of steps of
+    grid_dt from t1 (_exit_grid): the remainder to the zone exit is
+    re-solved inside its own release/deadline window, and tracking ends at
+    the first point whose solved remainder stays clear of the spacing rule.
+    Returns the follow arcs up to that point, the point, and info, whose
+    info["remainder"] is the trajectory that was checked, so the caller
+    splices exactly that.  Costate jumps at the junctions are reported, not
+    enforced.
 
     The clearance test is _least_margin: the exact least margin over the
     remainder's window must not fall below -5e-7.  Each candidate starts at
     the tested point, and the leader entered the zone earlier, so neither
-    trajectory is held at its start there.  A rejected candidate's least
-    margin also sets how long further tests stay pointless.
+    trajectory is held at its start there.  A rejected point is EARLY when
+    the remainder has more time than its deadline allows or dips below the
+    margin, and LATE when no time is left, the release is not met or the
+    remainder does not solve.  _exit_index gallops and bisects for the
+    first point that is not EARLY and takes it if it accepts; if not, it
+    falls back to the linear scan, where an EARLY dip's depth also sets how
+    long further tests stay pointless.
     """
     p1, v1 = state
     vl = leader.eval(t1)[1]
     info = {"u_entry": (vl - v1) / phi, "tangency_time": t1}
     arcs = _track(leader, t1, bvp.t_end, p1, v1, phi)
-
+    ends = [a.t1 for a in arcs]
+    grid = _exit_grid(t1, bvp.t_end, grid_dt)
     lim = bvp.limits
     # a rejected candidate's margin trough recovers no faster than this,
-    # bounding how long further exit tests stay pointless
+    # bounding how long the linear scan's further tests stay pointless
     margin_rate = 50.0
 
-    def clean_exit(tau: float, p_tau: float, v_tau: float) -> tuple[Trajectory | None, float]:
-        """The accepted remainder (None if rejected) and the next time to test."""
+    def clean_exit(i: int) -> tuple[int, float, Trajectory | None, float, int]:
+        """(verdict, the scan's next time to test, the accepted remainder,
+        the exit control, the arc index) at grid[i]."""
+        tau = grid[i]
+        j = min(bisect_left(ends, tau), len(arcs) - 1)
+        p_tau, v_tau, u = arcs[j].eval(tau)
         w_rem = bvp.t_end - tau
         if w_rem <= 1e-6:
-            return None, tau
+            return LATE, tau, None, u, j
         v_ok = min(max(v_tau, lim.v_min), lim.v_max)
         rem_start = BoundaryState(0.0, v_ok)
         rem_end = BoundaryState(bvp.end.position - p_tau, bvp.end.speed)
@@ -939,19 +1029,19 @@ def follow_arc(
             rel = release_time(rem_start, rem_end, lim)
             ddl = deadline(rem_start, rem_end, lim)
         except InfeasibleBoundary:
-            return None, tau
+            return LATE, tau, None, u, j
         if w_rem < rel.time - 1e-9:
-            return None, tau
+            return LATE, tau, None, u, j
         # more time left than the slowest feasible remainder can absorb:
         # no continuation exists yet, keep tracking
         if not ddl.is_unbounded() and w_rem > ddl.time + 1e-9:
-            return None, tau
+            return EARLY, tau, None, u, j
         sub = ZoneBVP(bvp.zone_id, tau, bvp.t_end, BoundaryState(p_tau, v_ok), bvp.end, lim)
         rem_bounds = ZoneBounds(rel.time, None if ddl.is_unbounded() else ddl.time)
         try:
             cand = solve_zone(sub, rem_bounds)
         except (ValueError, PiecingDiverged):
-            return None, tau
+            return LATE, tau, None, u, j
         # the candidate departs from a point ON the constraint, so it starts
         # at the tangency margin; tolerate that contact while rejecting any
         # real re-violation further out.  The exact minimum lies at or below
@@ -960,20 +1050,13 @@ def follow_arc(
         # the verdict.
         least = _least_margin(leader, leader_anchor, cand, follower_anchor, tau, bvp.t_end, gamma, phi)
         if least < -5e-7:
-            return None, tau + (-least - 5e-7) / margin_rate
-        return cand, tau
+            return EARLY, tau + (-least - 5e-7) / margin_rate, None, u, j
+        return EXIT, tau, cand, u, j
 
-    next_test, t, j = t1, t1, 0
-    for _ in range(int(math.ceil((bvp.t_end - t1) / grid_dt)) + 1):
-        if t >= bvp.t_end - grid_dt * 0.5:
-            break
-        t += min(grid_dt, bvp.t_end - t)
-        if t >= next_test:
-            while j + 1 < len(arcs) and t > arcs[j].t1:
-                j += 1
-            p, v, u = arcs[j].eval(t)
-            remainder, next_test = clean_exit(t, p, v)
-            if remainder is not None:
-                info.update(u_exit=u, remainder=remainder)
-                return (*arcs[:j], replace(arcs[j], t1=t)), t, info
-    raise NoExitFound(f"zone {bvp.zone_id}: follower found no clean exit before the boundary")
+    try:
+        k, (_, _, remainder, u, j) = _exit_index(grid, clean_exit)
+    except NoExitFound as e:
+        raise NoExitFound(f"zone {bvp.zone_id}: {e}") from None
+    t = grid[k]
+    info.update(u_exit=u, remainder=remainder)
+    return (*arcs[:j], replace(arcs[j], t1=t)), t, info

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from corridor import sim, trajectory
 from corridor.kinematics import BoundaryState, Limits, release_time
 from corridor.network import build_network, conflict_runs
 from corridor.sim import (
@@ -31,7 +32,7 @@ from corridor.sim import (
     schedules_json,
     trajectory_csv_rows,
 )
-from corridor.trajectory import check_rear_end
+from corridor.trajectory import check_rear_end, follow_arc
 
 NET = build_network()
 LIM = Limits(-1.0, 1.0, 5.0, 25.0)
@@ -312,6 +313,49 @@ def test_fifo_repair_is_pinned():
     assert (first.t0.hex(), last.t1.hex()) == ("0x1.73775a94c6342p+4", "0x1.7f83a44f24799p+4")
     digest = hashlib.sha256(" ".join(float(x).hex() for x in vals).encode()).hexdigest()
     assert digest == "dedb382a63517203c10108d3bee9b6a3928e7ff8f6b948c91649f509b0a9c048"
+
+
+def arc_bits(arcs):
+    return [(a.label, *(float(x).hex() for x in (a.t0, a.t1, a.p0, a.v0, a.u0, a.slope, a.tau, *a.g))) for a in arcs]
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        SimConfig(volume_veh_h=1200.0, seed=2),
+        SimConfig(volume_veh_h=1200.0, seed=3),
+        small_poisson(20, 5, policy="fifo"),
+    ],
+    ids=["vol1200-s2", "vol1200-s3", "fifo20-5"],
+)
+def test_bracketed_exit_equals_the_linear_scan(cfg, monkeypatch):
+    """Every repair's exit, found by gallop and bisection, is the one the
+    linear scan alone finds: the same exit time and the same spliced arcs,
+    in at most 2*ceil(log2(n)) + 2 exit tests on an exit grid of n points."""
+    compared = []
+    exit_index = trajectory._exit_index
+
+    def counted(grid, probe):
+        probed = []
+        found = exit_index(grid, lambda i: probed.append(i) or probe(i))
+        assert len(probed) <= 2 * math.ceil(math.log2(len(grid))) + 2, (len(grid), len(probed))
+        return found
+
+    def both(*args):
+        with monkeypatch.context() as m:
+            m.setattr(trajectory, "_exit_index", counted)
+            got = follow_arc(*args)
+        with monkeypatch.context() as m:
+            m.setattr(trajectory, "_bracket_exit", lambda n, verdict: None)
+            ref = follow_arc(*args)
+        assert got[1].hex() == ref[1].hex()
+        assert arc_bits(got[0] + got[2]["remainder"].arcs) == arc_bits(ref[0] + ref[2]["remainder"].arcs)
+        compared.append(got[1])
+        return got
+
+    monkeypatch.setattr(sim, "follow_arc", both)
+    res = run(cfg)
+    assert len(compared) == res.metrics.repairs >= 1
 
 
 @pytest.mark.xfail(

@@ -558,6 +558,117 @@ def test_follow_arc_control_respects_u_min_behind_slower_leader():
 
 
 # ---------------------------------------------------------------------------
+# exit search
+# ---------------------------------------------------------------------------
+
+EARLY, EXIT, LATE = trajectory.EARLY, trajectory.EXIT, trajectory.LATE
+
+
+def stepped_grid(t1, t_end, dt):
+    """The exit grid as a step-by-step loop: t += min(dt, t_end - t)."""
+    out, t = [], t1
+    for _ in range(int(math.ceil((t_end - t1) / dt)) + 1):
+        if t >= t_end - dt * 0.5:
+            break
+        t += min(dt, t_end - t)
+        out.append(t)
+    return out
+
+
+def test_exit_grid_equals_the_stepping_loop_bit_for_bit():
+    rng = np.random.default_rng(17)
+    windows = [
+        (0.0, 6.0, 1e-3),  # a whole number of steps, to float dust
+        (0.5, 7.0, 1e-3),
+        (0.0, 1.2345, 0.01),  # a clamped last step
+        (23.216633, 43.165924970175844, 1e-3),
+        (400.0, 400.0007, 1e-3),  # shorter than one step: one clamped point
+        (400.0, 400.0004, 1e-3),  # under half a step: no point
+        (5.0, 5.0, 1e-3),
+        (5.0, 4.0, 1e-3),  # an inverted window: no point
+    ]
+    windows += [(float(t1), float(t1 + w), 1e-3) for t1, w in zip(rng.uniform(0, 900, 40), rng.uniform(0, 40, 40))]
+    clamped = full = 0
+    for t1, t_end, dt in windows:
+        ref = stepped_grid(t1, t_end, dt)
+        got = trajectory._exit_grid(t1, t_end, dt)
+        assert [x.hex() for x in got] == [x.hex() for x in ref], (t1, t_end, dt)
+        if len(ref) > 1:
+            last_full = ref[-2] + dt == ref[-1]
+            full += last_full
+            clamped += not last_full
+    assert clamped >= 10 and full >= 2, (clamped, full)
+    assert trajectory._exit_grid(400.0, 400.0004, 1e-3) == []
+    assert trajectory._exit_grid(400.0, 400.0007, 1e-3) == [400.0007]
+
+
+def scripted(verdicts, skip=None):
+    """A probe that reads made-up verdicts and logs each index it probes.
+    skip maps an index to the next_test its rejection sets; by default a
+    rejection skips nothing."""
+    probed = []
+
+    def probe(i):
+        probed.append(i)
+        return verdicts[i], (skip or {}).get(i, float(i)), f"payload {i}"
+
+    return probe, probed
+
+
+def test_exit_search_brackets_a_monotone_sequence_in_log_probes():
+    for n in (2, 3, 7, 64, 1000, 38451):
+        for first in sorted({0, 1, n // 3, n - 2, n - 1} - {-1}):
+            for width in (1, 5, n):
+                verdicts = [EARLY] * first + [EXIT] * width
+                verdicts = (verdicts + [LATE] * n)[:n]
+                probe, probed = scripted(verdicts)
+                k, found = trajectory._exit_index(list(map(float, range(n))), probe)
+                assert (k, found) == (first, (EXIT, float(first), f"payload {first}"))
+                assert len(probed) == len(set(probed)) <= 2 * math.ceil(math.log2(n)) + 2, (n, first, width)
+
+
+def test_exit_search_falls_back_to_the_scan_past_an_accept_window():
+    # the shape of FIFO (75,5)'s widest repair: EARLY, an EXIT window from
+    # index 37,401, EARLY again, then LATE.  Galloping jumps the window and
+    # bisection lands on the LATE edge, so only the scan finds the exit.
+    n = 40000
+    verdicts = [EARLY] * 37401 + [EXIT] * 100 + [EARLY] * 1499 + [LATE] * 1000
+    assert trajectory._bracket_exit(n, verdicts.__getitem__) == 39000
+    probe, probed = scripted(verdicts)
+    k, _ = trajectory._exit_index(list(map(float, range(n))), probe)
+    assert k == 37401
+    # the scan re-reads the search's probes, so each index is probed once
+    assert len(probed) == len(set(probed)) == 37402 + sum(i > 37401 for i in probed)
+
+
+def test_exit_scan_tests_only_from_the_last_rejections_next_time():
+    # a dip's depth sets the next time worth testing: the search ends on
+    # the LATE at index 3, and the scan's rejection at index 0, skipping to
+    # time 3, passes the EXIT at index 1
+    verdicts = [EARLY, EXIT, EARLY, LATE, EXIT, LATE]
+    probe, probed = scripted(verdicts, skip={0: 3.0})
+    assert trajectory._exit_index([0.0, 1.0, 2.0, 3.0, 4.0, 5.0], probe)[0] == 4
+    assert sorted(probed) == [0, 2, 3, 4, 5]
+
+
+@pytest.mark.parametrize("verdict", [EARLY, LATE])
+def test_exit_search_without_an_exit_raises(verdict):
+    for n in (1, 2, 1000):
+        probe, probed = scripted([verdict] * n)
+        with pytest.raises(NoExitFound):
+            trajectory._exit_index(list(map(float, range(n))), probe)
+        assert sorted(probed) == list(range(n))
+    with pytest.raises(NoExitFound):
+        trajectory._exit_index([], scripted([])[0])
+
+
+def test_exit_search_on_a_one_point_grid():
+    probe, probed = scripted([EXIT])
+    assert trajectory._exit_index([3.5], probe) == (0, (EXIT, 0.0, "payload 0"))
+    assert probed == [0]
+
+
+# ---------------------------------------------------------------------------
 # evaluation kernel
 # ---------------------------------------------------------------------------
 
@@ -704,7 +815,9 @@ def assert_least_margin(*args, fine=True):
 
 
 def spy_on_exit_tests(monkeypatch):
-    """Check every exit test follow_arc makes, every 20th also on the 20 us scan."""
+    """Check every exit test follow_arc makes, every 20th also on the 20 us
+    scan.  The bracketed search is turned off, so every exit goes through
+    the linear scan and its many exit tests, most of them rejections."""
     calls = []
 
     def checked(*args):
@@ -712,6 +825,7 @@ def spy_on_exit_tests(monkeypatch):
         return assert_least_margin(*args, fine=len(calls) % 20 == 1)
 
     monkeypatch.setattr(trajectory, "_least_margin", checked)
+    monkeypatch.setattr(trajectory, "_bracket_exit", lambda n, verdict: None)
     return calls
 
 
